@@ -3,13 +3,13 @@
 # and the fault-injection paths, full build. gofmt and go vet always run;
 # staticcheck/govulncheck are optional-when-installed (see lint).
 #
-# check does not run benchmarks (too noisy for a gate). When a change
-# touches internal/flitsim's step loop or internal/routing's Choose path,
-# run `make bench-flit` / `make bench-routing` and compare the fresh
-# "current" numbers against the committed BENCH_*.json baselines the way
-# benchstat compares runs — several repetitions, interleaved, on an idle
-# machine — before trusting a delta (docs/PERFORMANCE.md).
-.PHONY: check build test bench bench-graph bench-routing bench-flit bench-paths bench-serve fmt lint race-graph race-faults race-paths race-serve race-serve-v2 race-chaos race-flit-events flit-event-smoke fuzz-paths fuzz-serve serve-smoke chaos-smoke docs-check
+# check does not run benchmarks (too noisy for a gate). `make bench`
+# runs jfbench, the repository's one benchmark (internal/bench/README.md),
+# over every workload and then the `go test -bench` microbenchmarks.
+# Compare two jfbench results files with `make bench-diff BASE=a.json
+# NEW=b.json`: several repetitions, alternating which commit runs first,
+# on an idle machine, before trusting a delta (docs/PERFORMANCE.md).
+.PHONY: check build test bench bench-diff fmt lint race-graph race-faults race-paths race-serve race-serve-v2 race-chaos race-flit-events flit-event-smoke fuzz-paths fuzz-serve serve-smoke chaos-smoke docs-check
 
 check: fmt lint
 	go vet ./...
@@ -133,44 +133,18 @@ build:
 test:
 	go test ./...
 
-bench: bench-graph bench-routing bench-flit bench-paths bench-serve
+# jfbench over every workload (five repetitions from seed 1, host block
+# and per-metric series in jfbench-results.json), then the package
+# microbenchmarks.
+bench:
+	bash internal/bench/run.sh -seed 1 -reps 5 -out jfbench-results.json
 	go test -bench=. -benchmem ./...
 
-# Graph-substrate benchmark: CSR build time vs the old map builder,
-# packed bytes/node vs the slice+dense-table representation it replaced,
-# BFS all-pairs rate (must not regress vs the slice adjacency) and
-# LinkID/LinkEndpoints throughput on RRG(720,24,19) and RRG(2000,24,19),
-# written to BENCH_graph.json (committed baseline; methodology in the
-# harness doc comment and docs/PERFORMANCE.md).
-bench-graph:
-	go run ./internal/graph/benchjson -o BENCH_graph.json
-
-# Routing-engine microbenchmarks: ns/op and allocs/op of one Choose call
-# per mechanism on k=8 candidate sets, written to BENCH_routing.json (the
-# committed file is the baseline to diff against).
-bench-routing:
-	go run ./internal/routing/benchjson -o BENCH_routing.json
-
-# Cycle-level simulator stepping throughput (cycles/sec, ns/cycle at a
-# low, mid and saturating load), written to BENCH_flitsim.json. The file
-# keeps its stored "baseline" run across reruns, benchstat-style: compare
-# "current" against "baseline" (and against the committed file's
-# "current") before and after touching the hot loop; see
-# docs/PERFORMANCE.md for the workflow and what the loads exercise.
-bench-flit:
-	go run ./internal/flitsim/benchjson -o BENCH_flitsim.json
-
-# Path-store benchmark: eager-build throughput, on-disk cache load
-# speedup and packed-vs-slice bytes/pair on the medium topology, written
-# to BENCH_paths.json (committed baseline; methodology in docs/PATHS.md).
-# Takes a minute or two: the build leg recomputes 50k pairs.
-bench-paths:
-	go run ./internal/paths/benchjson -o BENCH_paths.json
-
-# Serving-layer benchmark: sustained batched lookups/sec and single-op
-# round trips/sec against an in-process jfserve on a Unix socket,
-# written to BENCH_serve.json (committed baseline; capacity-planning
-# notes in docs/SERVICE.md). Client and server share the machine, so
-# run it idle and read the number as a per-host floor.
-bench-serve:
-	go run ./internal/serve/benchjson -o BENCH_serve.json
+# Verdict per workload and end-to-end metric between two jfbench results
+# files made with the same -seed and -reps (by default the parent's
+# results renamed to jfbench-results-base.json, and this commit's);
+# exits 1 when any is worse.
+BASE ?= jfbench-results-base.json
+NEW ?= jfbench-results.json
+bench-diff:
+	bash internal/bench/run.sh -compare $(BASE) $(NEW)

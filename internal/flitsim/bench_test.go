@@ -1,7 +1,9 @@
 package flitsim
 
 import (
+	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/jellyfish"
 	"repro/internal/ksp"
@@ -12,18 +14,23 @@ import (
 	"repro/internal/xrand"
 )
 
-// benchFlit measures one full measurement-protocol run on a small RRG,
-// with or without a telemetry collector attached. Comparing the two
-// guards the acceptance criterion that the nil-telemetry path costs
-// nothing measurable:
+// benchFlit measures one full measurement-protocol run on a small RRG
+// at one offered load, cycle-stepped or event-driven, with or without a
+// telemetry collector attached, and reports the stepping cost per
+// simulated cycle. BenchmarkFlit's cells are the evidence behind
+// -event-driven (a win at sparse load, a cost near saturation);
+// comparing BenchmarkFlitTelemetry against cycle/load=0.5 guards the
+// claim that the nil-telemetry path costs nothing measurable:
 //
-//	go test ./internal/flitsim -bench BenchmarkFlit -benchmem
-func benchFlit(b *testing.B, instrumented bool) {
+//	go test ./internal/flitsim -run '^$' -bench Flit -benchmem
+func benchFlit(b *testing.B, load float64, eventDriven, instrumented bool) {
 	topo, err := jellyfish.New(jellyfish.Params{N: 18, X: 12, Y: 8}, xrand.New(1))
 	if err != nil {
 		b.Fatal(err)
 	}
 	pdb := paths.NewDB(topo.G, ksp.Config{Alg: ksp.REDKSP, K: 4}, 1)
+	var cycles int64
+	var stepping time.Duration
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -32,15 +39,30 @@ func benchFlit(b *testing.B, instrumented bool) {
 			Paths:         pdb,
 			Mechanism:     routing.KSPAdaptive(),
 			Traffic:       traffic.Uniform{N: topo.NumTerminals()},
-			InjectionRate: 0.5,
+			InjectionRate: load,
+			EventDriven:   eventDriven,
 			Seed:          uint64(i) + 1,
 		}
 		if instrumented {
 			cfg.Telemetry = telemetry.NewCollector()
 		}
-		New(cfg).Run()
+		sim := New(cfg)
+		t0 := time.Now()
+		sim.Run()
+		stepping += time.Since(t0)
+		cycles += sim.Clock()
+	}
+	b.ReportMetric(float64(stepping.Nanoseconds())/float64(cycles), "ns/cycle")
+}
+
+func BenchmarkFlit(b *testing.B) {
+	for _, mode := range []string{"cycle", "event"} {
+		for _, load := range []float64{0.001, 0.5} {
+			b.Run(fmt.Sprintf("%s/load=%g", mode, load), func(b *testing.B) {
+				benchFlit(b, load, mode == "event", false)
+			})
+		}
 	}
 }
 
-func BenchmarkFlit(b *testing.B)          { benchFlit(b, false) }
-func BenchmarkFlitTelemetry(b *testing.B) { benchFlit(b, true) }
+func BenchmarkFlitTelemetry(b *testing.B) { benchFlit(b, 0.5, false, true) }

@@ -16,9 +16,9 @@ var benchSink graph.Path
 
 // BenchmarkChoose measures one Choose call per mechanism on the paper's
 // k=8 candidate sets (rEDKSP over a 16-switch RRG), cycling through every
-// ordered switch pair under a randomized static load. `make bench`
-// records the same quantity into BENCH_routing.json via
-// internal/routing/benchjson.
+// ordered switch pair under a randomized static load:
+//
+//	go test ./internal/routing -run '^$' -bench Choose -benchmem
 func BenchmarkChoose(b *testing.B) {
 	topo, err := jellyfish.New(jellyfish.Params{N: 16, X: 8, Y: 4}, xrand.New(7))
 	if err != nil {

@@ -3,6 +3,7 @@ package serve_test
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -12,6 +13,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/serve"
 	"repro/internal/serve/client"
@@ -487,5 +489,53 @@ func TestBinaryJSONInterleaved(t *testing.T) {
 		if _, err := cb.Route(bg, testKey, 0, 1); err != nil {
 			t.Fatalf("binary op %d: %v", i, err)
 		}
+	}
+}
+
+// TestBinaryBatchDetachedHandler sends binary batches to a server whose
+// handler timeout they overrun. Each frame answers either the whole
+// batch or the timeout code, and a batch handler left running detached
+// must not read the next frame, which the connection reads into the same
+// buffer (the race detector reports it under make race-serve-v2).
+func TestBinaryBatchDetachedHandler(t *testing.T) {
+	srv, sock := startServer(t, serve.Options{HandlerTimeout: time.Microsecond})
+	topo, err := srv.LoadTopology(serve.TopoParams{Topo: "small", K: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := client.DialBinary(bg, "unix", sock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	n := int32(topo.Switches)
+	timeouts := 0
+	for i := int32(0); i < 20; i++ {
+		pairs := make([][2]int32, 512)
+		for j := range pairs {
+			src := (i + int32(j)) % n
+			pairs[j] = [2]int32{src, (src + 1 + int32(j)%5) % n}
+		}
+		res, err := c.RoutesBatch(bg, topo.Key, pairs)
+		var re *client.RemoteError
+		if errors.As(err, &re) && re.Code == serve.CodeTimeout {
+			timeouts++
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, e := range res.Entries {
+			if e.Route == nil {
+				t.Fatalf("batch %d pair %v: %q", i, pairs[j], e.Err)
+			}
+			p := e.Route.Path
+			if p[0] != pairs[j][0] || p[len(p)-1] != pairs[j][1] {
+				t.Fatalf("batch %d pair %v routed %v", i, pairs[j], p)
+			}
+		}
+	}
+	if timeouts == 0 {
+		t.Fatal("no batch overran the 1µs handler timeout")
 	}
 }

@@ -4,8 +4,8 @@
 // TCP connection, one response per request, in order — plus streaming
 // sweeps, whose chunk frames arrive between a Sweep call's ack and its
 // final totals. It exists for the protocol tests, the serve smoke gate,
-// the chaos harness and exp.ServeBench; a third-party client should be
-// written from docs/SERVICE.md alone.
+// the chaos harness and the jfbench serve workload; a third-party client
+// should be written from docs/SERVICE.md alone.
 //
 // Every call takes a context.Context: a deadline bounds the dial and
 // each request's network I/O, and cancellation interrupts a call that
@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"strconv"
 	"sync"
 	"time"
@@ -68,7 +69,7 @@ var DefaultRetry = RetryPolicy{MaxAttempts: 4, BaseDelay: 5 * time.Millisecond, 
 
 // Client is a synchronous jfserve client. Methods may be called from
 // multiple goroutines; requests are serialized on the one connection
-// (for throughput, open several clients and batch — see exp.ServeBench).
+// (for throughput, open several clients and batch).
 type Client struct {
 	mu     sync.Mutex
 	conn   net.Conn
@@ -172,15 +173,16 @@ func New(conn net.Conn) *Client {
 func (c *Client) handshakeLocked(ctx context.Context) error {
 	disarm := c.armCtxLocked(ctx)
 	defer disarm()
-	if _, err := c.w.Write(serve.BinaryPreamble[:]); err != nil {
-		c.failLocked()
-		return err
-	}
-	if err := c.w.Flush(); err != nil {
-		c.failLocked()
-		return err
-	}
+	c.w.Write(serve.BinaryPreamble[:]) // buffered; Flush reports a failure
+	werr := c.w.Flush()
+	// A refusing server writes its frame and closes without reading, so
+	// the preamble write can fail with the refusal already received:
+	// read it before reporting the write error.
 	first, err := c.br.Peek(1)
+	if werr != nil && (err != nil || first[0] == serve.BinaryPreamble[0]) {
+		c.failLocked()
+		return werr
+	}
 	if err != nil {
 		c.failLocked()
 		return fmt.Errorf("jfserve: binary handshake: %w", err)
@@ -357,6 +359,20 @@ func (c *Client) failLocked() {
 // connection is untouched and a retry would fail identically.
 var errEncode = errors.New("jfserve: request not encodable in the binary protocol")
 
+// ctxErr reports a transport failure during a call armed with ctx as
+// the context's error when the context ended it.
+func ctxErr(ctx context.Context, err error) error {
+	if cerr := ctx.Err(); cerr != nil {
+		return cerr
+	}
+	// The connection deadline is the context's own, and the read can
+	// time out a moment before the context marks itself done.
+	if d, ok := ctx.Deadline(); ok && errors.Is(err, os.ErrDeadlineExceeded) && !time.Now().Before(d) {
+		return context.DeadlineExceeded
+	}
+	return err
+}
+
 // armCtxLocked maps the context onto the connection: the deadline
 // directly, and cancellation by expiring the deadline from a watcher
 // goroutine. The returned function disarms the watcher.
@@ -464,24 +480,18 @@ func (c *Client) doLocked(ctx context.Context, req serve.Request) (serve.Respons
 
 	disarm := c.armCtxLocked(ctx)
 	defer disarm()
-	ctxErr := func(err error) error {
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
-		return err
-	}
 
 	if err := c.writeReqLocked(&req); err != nil {
 		if errors.Is(err, errEncode) {
 			return serve.Response{}, err
 		}
 		c.failLocked()
-		return serve.Response{}, ctxErr(err)
+		return serve.Response{}, ctxErr(ctx, err)
 	}
 	resp, err := c.readRespLocked()
 	if err != nil {
 		c.failLocked()
-		return serve.Response{}, ctxErr(err)
+		return serve.Response{}, ctxErr(ctx, err)
 	}
 	if resp.ID != req.ID {
 		c.failLocked()
@@ -584,17 +594,11 @@ func (c *Client) sweepOnceLocked(ctx context.Context, topo string, p serve.Sweep
 
 	disarm := c.armCtxLocked(ctx)
 	defer disarm()
-	ctxErr := func(err error) error {
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
-		return err
-	}
 	for next := 0; ; {
 		frame, rerr := c.readRespLocked()
 		if rerr != nil {
 			c.failLocked()
-			return start, done, true, ctxErr(rerr)
+			return start, done, true, ctxErr(ctx, rerr)
 		}
 		if frame.ID != id {
 			c.failLocked()

@@ -367,22 +367,30 @@ func TestShutdownUnderLoad(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(l) }()
 
+	// Dial every client before any stream starts: Stop unlinks the
+	// socket, so a dial racing it would fail for reasons unrelated to
+	// draining.
 	const clients = 6
-	var wg sync.WaitGroup
+	conns := make([]*client.Client, clients)
+	for i := range conns {
+		c, err := client.Dial(bg, "unix", sock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		conns[i] = c
+	}
+	var wg, started sync.WaitGroup
 	var mu sync.Mutex
 	served := 0
-	firstOnce := sync.Once{}
-	first := make(chan struct{})
-	for i := 0; i < clients; i++ {
+	for _, c := range conns {
 		wg.Add(1)
+		started.Add(1)
 		go func() {
 			defer wg.Done()
-			c, err := client.Dial(bg, "unix", sock)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer c.Close()
+			var once sync.Once
+			markStarted := func() { once.Do(started.Done) }
+			defer markStarted()
 			for {
 				st, err := c.Stats(bg)
 				if err != nil {
@@ -395,11 +403,11 @@ func TestShutdownUnderLoad(t *testing.T) {
 				mu.Lock()
 				served++
 				mu.Unlock()
-				firstOnce.Do(func() { close(first) })
+				markStarted()
 			}
 		}()
 	}
-	<-first // Stop lands while all streams are in flight
+	started.Wait() // Stop lands while all streams are in flight
 	srv.Stop()
 	wg.Wait()
 	if err := <-done; err != nil {

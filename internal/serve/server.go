@@ -399,9 +399,8 @@ func (cw *connWriter) writeRaw(payload []byte) error {
 }
 
 func (cw *connWriter) writeFrameLocked(payload []byte) error {
-	var hdr [4]byte
-	le.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := cw.w.Write(hdr[:]); err != nil {
+	hdr := le.AppendUint32(cw.w.AvailableBuffer(), uint32(len(payload)))
+	if _, err := cw.w.Write(hdr); err != nil {
 		return err
 	}
 	_, err := cw.w.Write(payload)
@@ -446,7 +445,8 @@ func (cw *connWriter) writeResult(res *opResult) error {
 	if res.raw != nil {
 		return cw.writeRaw(res.raw)
 	}
-	return cw.write(&res.resp)
+	resp := res.resp // a copy, so only this path pays for the encoder's escape
+	return cw.write(&resp)
 }
 
 // opResult is the outcome of one admitted request.
@@ -597,7 +597,7 @@ func (s *Server) serveBinary(conn net.Conn, br *bufio.Reader, cw *connWriter) {
 			}
 			return
 		}
-		res := s.handleBinaryFrame(payload, cw)
+		res := s.handleFrame(payload, cw)
 		if !s.finishResult(cw, &res) {
 			return
 		}
@@ -654,20 +654,16 @@ func respOf(resp Response) *Response { return &resp }
 
 func result(resp Response) opResult { return opResult{resp: resp} }
 
-// handleFrame decodes, admits, dispatches and times one JSON request.
-func (s *Server) handleFrame(line []byte, cw *connWriter) opResult {
+// handleFrame decodes, admits, dispatches and times one request frame
+// in the connection's codec.
+func (s *Server) handleFrame(frame []byte, cw *connWriter) opResult {
 	t0 := time.Now()
-	res := s.admitJSON(line, cw)
-	s.requests.Add(1)
-	s.latency.Observe(time.Since(t0).Microseconds())
-	return res
-}
-
-// handleBinaryFrame decodes, admits, dispatches and times one binary
-// request payload.
-func (s *Server) handleBinaryFrame(payload []byte, cw *connWriter) opResult {
-	t0 := time.Now()
-	res := s.admitBinary(payload, cw)
+	var res opResult
+	if cw.bin {
+		res = s.admitBinary(frame, cw)
+	} else {
+		res = s.admitJSON(frame, cw)
+	}
 	s.requests.Add(1)
 	s.latency.Observe(time.Since(t0).Microseconds())
 	return res
@@ -684,56 +680,120 @@ func (s *Server) admitJSON(line []byte, cw *connWriter) opResult {
 		return result(errResponse(req.ID, CodeBadVersion,
 			fmt.Sprintf("request version %d, server speaks %d", req.V, ProtocolVersion)))
 	}
-	return s.admit(req, cw)
+	return s.admit(call{req: req}, cw)
 }
 
 // admitBinary decodes one binary payload and runs the same admission
 // path (the binary protocol's version was negotiated in the preamble,
 // so there is no per-request version check). A well-framed payload that
 // does not decode answers bad-request and the connection stays open.
-// Batched lookups with no handler timeout take an allocation-free fast
-// path instead of materializing a Request.
+// A routes-batch is decoded in place (decodeBatchCall) rather than into
+// a Request, so batched lookups stay allocation-free.
 func (s *Server) admitBinary(payload []byte, cw *connWriter) opResult {
-	if s.opts.HandlerTimeout <= 0 && len(payload) > 9 && payload[8] == binOpBatch {
-		return s.binaryBatch(payload, cw)
+	var c call
+	var err error
+	if len(payload) > 9 && payload[8] == binOpBatch {
+		c, err = decodeBatchCall(payload)
+	} else {
+		c.id, c.req, err = DecodeBinaryRequest(payload)
 	}
-	id, req, err := DecodeBinaryRequest(payload)
 	if err != nil {
-		return result(errResponse(binFormatID(id), CodeBadRequest,
+		return result(errResponse(binFormatID(c.id), CodeBadRequest,
 			"malformed binary request: "+err.Error()))
 	}
-	return s.admit(req, cw)
+	return s.admit(c, cw)
 }
 
-// admit applies the resilience policy — health bypass, load shedding,
-// handler timeout, panic recovery — around the op dispatch, identically
-// for both codecs.
-func (s *Server) admit(req Request, cw *connWriter) opResult {
-	if c, ok := s.perOp[req.Op]; ok {
-		c.Add(1)
+// call is one decoded request as admission sees it, whatever the codec.
+// A binary routes-batch (fast) carries only its op in req: its topology
+// key and pairs stay a view into the frame payload, so the fast path
+// routes straight off the wire bytes without materializing a Request.
+type call struct {
+	req  Request
+	id   uint64 // binary frame id (0 for JSON)
+	fast bool
+	topo []byte // fast: topology key bytes
+	n    int    // fast: pair count
+	body []byte // fast: n × (u32 src, u32 dst)
+}
+
+// errID is the id an error frame for this call echoes. The fast path
+// renders it only when an error needs it.
+func (c *call) errID() string {
+	if c.fast {
+		return binFormatID(c.id)
+	}
+	return c.req.ID
+}
+
+// decodeBatchCall views a binary routes-batch payload in place. Layout
+// after the id and opcode: u16 topo length, topo bytes, u32 pair count,
+// count × (u32 src, u32 dst) — and nothing else. Errors match
+// DecodeBinaryRequest's; the batch-size limits are the handler's call,
+// exactly as on the generic path.
+func decodeBatchCall(payload []byte) (call, error) {
+	c := call{req: Request{Op: OpRoutesBatch}, id: le.Uint64(payload), fast: true}
+	p := payload[9:]
+	if len(p) < 6 {
+		return c, errTruncated
+	}
+	tlen := int(le.Uint16(p))
+	if tlen > maxBinaryString || len(p) < 2+tlen+4 {
+		return c, errTruncated
+	}
+	c.topo = p[2 : 2+tlen]
+	c.n = int(le.Uint32(p[2+tlen:]))
+	c.body = p[2+tlen+4:]
+	if 8*c.n > len(c.body) {
+		return c, errTruncated
+	}
+	if 8*c.n < len(c.body) {
+		return c, errTrailing
+	}
+	return c, nil
+}
+
+// admit applies the resilience policy — per-op count, health bypass,
+// load shedding, handler timeout, panic recovery — around the op
+// dispatch, identically for both codecs and the binary batch fast path.
+func (s *Server) admit(c call, cw *connWriter) opResult {
+	if ctr, ok := s.perOp[c.req.Op]; ok {
+		ctr.Add(1)
 	}
 	// health must answer while the server is overloaded, so it is
 	// exempt from the in-flight limit and the handler timeout. It only
 	// reads atomics — cheap enough to never need shedding.
-	if req.Op == OpHealth {
-		return result(s.handleHealth(req))
+	if c.req.Op == OpHealth {
+		return result(s.handleHealth(c.req))
 	}
 	if s.inflight != nil {
 		select {
 		case s.inflight <- struct{}{}:
 		default:
 			s.counters.Shed.Add(1)
-			return result(errResponse(req.ID, CodeOverloaded,
+			return result(errResponse(c.errID(), CodeOverloaded,
 				fmt.Sprintf("in-flight limit %d reached; retry with backoff", s.opts.MaxInFlight)))
 		}
 	}
 	if s.opts.HandlerTimeout <= 0 {
 		// No timeout: run inline, keeping the hot path goroutine-free.
-		return s.runOp(req, cw)
+		return s.runOp(c, cw)
+	}
+	return s.runWithTimeout(c, cw)
+}
+
+// runWithTimeout runs one admitted op on its own goroutine and answers
+// the timeout code if it outlives HandlerTimeout. Kept out of admit so
+// that only timed requests pay for moving the call to the heap.
+func (s *Server) runWithTimeout(c call, cw *connWriter) opResult {
+	if c.fast {
+		// The handler may outlive this frame, and the connection reads
+		// the next frame into the same buffer.
+		c.topo, c.body = bytes.Clone(c.topo), bytes.Clone(c.body)
 	}
 	done := make(chan opResult, 1)
 	go func() {
-		done <- s.runOp(req, cw)
+		done <- s.runOp(c, cw)
 	}()
 	timer := time.NewTimer(s.opts.HandlerTimeout)
 	defer timer.Stop()
@@ -754,7 +814,7 @@ func (s *Server) admit(req Request, cw *connWriter) opResult {
 				r.discard()
 			}
 		}()
-		return result(errResponse(req.ID, CodeTimeout,
+		return result(errResponse(c.errID(), CodeTimeout,
 			fmt.Sprintf("handler exceeded the %s request timeout", s.opts.HandlerTimeout)))
 	}
 }
@@ -762,7 +822,7 @@ func (s *Server) admit(req Request, cw *connWriter) opResult {
 // runOp executes one op with panic recovery, accounting it against the
 // in-flight gauge and releasing the in-flight slot (if limits are on)
 // when the handler returns. A poisoned result closes the connection.
-func (s *Server) runOp(req Request, cw *connWriter) (res opResult) {
+func (s *Server) runOp(c call, cw *connWriter) (res opResult) {
 	s.inflightNow.Add(1)
 	defer func() {
 		s.inflightNow.Add(-1)
@@ -771,12 +831,15 @@ func (s *Server) runOp(req Request, cw *connWriter) (res opResult) {
 		}
 		if r := recover(); r != nil {
 			s.counters.Panics.Add(1)
-			s.logf("jfserve: recovered panic in %s handler: %v\n%s", req.Op, r, debug.Stack())
-			res = opResult{resp: errResponse(req.ID, CodeInternal,
+			s.logf("jfserve: recovered panic in %s handler: %v\n%s", c.req.Op, r, debug.Stack())
+			res = opResult{resp: errResponse(c.errID(), CodeInternal,
 				fmt.Sprintf("handler panicked: %v; closing this connection", r)), poison: true}
 		}
 	}()
-	return s.dispatch(req, cw)
+	if c.fast {
+		return s.binaryBatch(&c, cw)
+	}
+	return s.dispatch(c.req, cw)
 }
 
 func (s *Server) dispatch(req Request, cw *connWriter) opResult {
@@ -808,80 +871,37 @@ func (s *Server) dispatch(req Request, cw *connWriter) opResult {
 	return result(errResponse(req.ID, CodeUnknownOp, fmt.Sprintf("unknown op %q", req.Op)))
 }
 
-// binaryBatch is the binary routes-batch fast path: it routes straight
+// binaryBatch is the binary routes-batch handler: it routes straight
 // off the request payload and encodes the response in place, so a
-// batched lookup allocates nothing per pair. It mirrors the generic
-// path exactly — same admission order, same error codes, same response
-// bytes — which the differential suite pins.
-func (s *Server) binaryBatch(payload []byte, cw *connWriter) (res opResult) {
-	id := le.Uint64(payload)
+// batched lookup allocates nothing per pair. It mirrors
+// handleRoutesBatch exactly — same error codes, same response bytes —
+// which the differential suite pins.
+func (s *Server) binaryBatch(c *call, cw *connWriter) opResult {
 	fail := func(code, msg string) opResult {
-		return result(errResponse(binFormatID(id), code, msg))
+		return result(errResponse(c.errID(), code, msg))
 	}
-	// Layout after the id and opcode: u16 topo length, topo bytes,
-	// u32 pair count, count × (u32 src, u32 dst) — and nothing else.
-	p := payload[9:]
-	if len(p) < 6 {
-		return fail(CodeBadRequest, "malformed binary request: "+errTruncated.Error())
-	}
-	tlen := int(le.Uint16(p))
-	if tlen > maxBinaryString || len(p) < 2+tlen+4 {
-		return fail(CodeBadRequest, "malformed binary request: "+errTruncated.Error())
-	}
-	topo := p[2 : 2+tlen]
-	n := int(le.Uint32(p[2+tlen:]))
-	body := p[2+tlen+4:]
-	if 8*n != len(body) {
-		if 8*n > len(body) {
-			return fail(CodeBadRequest, "malformed binary request: "+errTruncated.Error())
-		}
-		return fail(CodeBadRequest, "malformed binary request: "+errTrailing.Error())
-	}
-	if c := s.perOp[OpRoutesBatch]; c != nil {
-		c.Add(1)
-	}
-	if s.inflight != nil {
-		select {
-		case s.inflight <- struct{}{}:
-		default:
-			s.counters.Shed.Add(1)
-			return fail(CodeOverloaded,
-				fmt.Sprintf("in-flight limit %d reached; retry with backoff", s.opts.MaxInFlight))
-		}
-	}
-	s.inflightNow.Add(1)
-	defer func() {
-		s.inflightNow.Add(-1)
-		if s.inflight != nil {
-			<-s.inflight
-		}
-		if r := recover(); r != nil {
-			s.counters.Panics.Add(1)
-			s.logf("jfserve: recovered panic in %s handler: %v\n%s", OpRoutesBatch, r, debug.Stack())
-			res = opResult{resp: errResponse(binFormatID(id), CodeInternal,
-				fmt.Sprintf("handler panicked: %v; closing this connection", r)), poison: true}
-		}
-	}()
-	if n == 0 {
+	if c.n == 0 {
 		return fail(CodeBadRequest, "routes-batch needs a non-empty pairs array")
 	}
-	if n > MaxBatchPairs {
+	if c.n > MaxBatchPairs {
 		return fail(CodeBatchTooLarge,
-			fmt.Sprintf("%d pairs exceed the %d-pair batch limit", n, MaxBatchPairs))
+			fmt.Sprintf("%d pairs exceed the %d-pair batch limit", c.n, MaxBatchPairs))
 	}
-	e, ok := s.entry(string(topo))
+	s.mu.Lock()
+	e, ok := s.topos[string(c.topo)] // keys the lookup without allocating
+	s.mu.Unlock()
 	if !ok {
-		return fail(CodeUnknownTopo, fmt.Sprintf("topology %q not loaded", topo))
+		return fail(CodeUnknownTopo, fmt.Sprintf("topology %q not loaded", c.topo))
 	}
-	out := append(cw.takeScratch(), payload[:8]...) // echo the id
+	out := appendU64(cw.takeScratch(), c.id) // echo the id
 	out = append(out, binKindBatch)
 	routedOff := len(out)
 	out = appendU32(out, 0) // routed, patched below
-	out = appendU32(out, uint32(n))
+	out = appendU32(out, uint32(c.n))
 	routed := 0
-	for i := 0; i < n; i++ {
-		src := int32(le.Uint32(body[8*i:]))
-		dst := int32(le.Uint32(body[8*i+4:]))
+	for i := 0; i < c.n; i++ {
+		src := int32(le.Uint32(c.body[8*i:]))
+		dst := int32(le.Uint32(c.body[8*i+4:]))
 		r, code, err := s.routeOne(e, src, dst)
 		if err != nil {
 			out = append(out, 0)
@@ -903,8 +923,9 @@ func (s *Server) binaryBatch(payload []byte, cw *connWriter) (res opResult) {
 
 // takeScratch hands the writer's scratch buffer (empty, capacity
 // retained) to the fast path; writeRaw puts the grown buffer back, so
-// steady-state batches reuse one allocation. Only the connection's
-// request loop calls this, and only for results it immediately writes.
+// steady-state batches reuse one allocation. The buffer moves to the
+// caller, so a handler left running past its timeout never shares it
+// with the next request's.
 func (cw *connWriter) takeScratch() []byte {
 	cw.mu.Lock()
 	b := cw.scratch[:0]
