@@ -122,10 +122,13 @@ fuzz-paths:
 # Short fuzz smoke of the binary v2 wire decoders on top of the
 # committed corpus under internal/serve/testdata/fuzz (seeded from the
 # golden fixtures plus truncations, oversized length prefixes and
-# version-skew bytes). Longer sessions: raise -fuzztime.
+# version-skew bytes), then of the server's in-place routes-batch
+# decoder against the generic one (seeded in code). Longer sessions:
+# raise -fuzztime.
 fuzz-serve:
 	go test -fuzz=FuzzBinaryFrame -fuzztime=10s -run '^$$' ./internal/serve
 	go test -fuzz=FuzzBinaryBatch -fuzztime=10s -run '^$$' ./internal/serve
+	go test -fuzz=FuzzBatchCall -fuzztime=10s -run '^$$' ./internal/serve
 
 build:
 	go build ./...

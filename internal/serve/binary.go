@@ -2,9 +2,10 @@
 // per-connection alongside the JSON v1 line protocol. The full spec a
 // third-party client needs — negotiation, frame layout, every op's
 // encoding, a worked hex transcript — is docs/SERVICE.md ("Binary
-// protocol v2"); this file is the reference implementation, pinned by
-// the golden fixtures under testdata/v2 and fuzzed by FuzzBinaryFrame /
-// FuzzBinaryBatch.
+// protocol v2"); this file and each op's request-field codec in opTable
+// (ops.go) are the reference implementation, pinned by the golden
+// fixtures under testdata/v2 and fuzzed by FuzzBinaryFrame,
+// FuzzBinaryBatch and FuzzBatchCall.
 //
 // Conventions follow the JFPC on-disk path cache (internal/paths):
 // little-endian fixed-width integers, length-prefixed strings, every
@@ -40,22 +41,6 @@ var BinaryPreamble = [5]byte{0x00, 'J', 'F', 'B', BinaryVersion}
 // maxBinaryString bounds one length-prefixed string (topology keys run
 // ~90 bytes; error messages a few hundred).
 const maxBinaryString = 4096
-
-// Binary opcodes (request payload byte 8). Unknown opcodes answer
-// CodeUnknownOp and the connection stays open, mirroring JSON.
-const (
-	binOpRoute          = 1
-	binOpBatch          = 2
-	binOpEstimate       = 3
-	binOpTopoLoad       = 4
-	binOpTopoEvict      = 5
-	binOpStats          = 6
-	binOpHealth         = 7
-	binOpSweep          = 8
-	binOpTestSleep      = 9
-	binOpTestCrash      = 10
-	binOpNameUnknownFmt = "binary-op-%d"
-)
 
 // Binary response kinds (response payload byte 8).
 const (
@@ -187,18 +172,41 @@ func (r *binReader) u64() uint64 {
 func (r *binReader) i32() int32   { return int32(r.u32()) }
 func (r *binReader) f64() float64 { return math.Float64frombits(r.u64()) }
 
-func (r *binReader) str() string {
+// view returns the next n bytes without copying; they alias the payload.
+func (r *binReader) view(n int) []byte {
+	if !r.need(n) {
+		return nil
+	}
+	v := r.b[r.off : r.off+n]
+	r.off += n
+	return v
+}
+
+// strView reads one length-prefixed string as a view into the payload.
+func (r *binReader) strView() []byte {
 	n := int(r.u16())
 	if n > maxBinaryString {
 		r.fail()
-		return ""
+		return nil
 	}
-	if !r.need(n) {
-		return ""
+	return r.view(n)
+}
+
+func (r *binReader) str() string { return string(r.strView()) }
+
+// pairs reads a pair list: u32 count, count × (u32 src, u32 dst). The
+// count must fit the remaining bytes before a single allocation; an
+// empty list decodes as nil, like an absent JSON "pairs".
+func (r *binReader) pairs() [][2]int32 {
+	n := int(r.u32())
+	if !r.need(8*n) || n == 0 {
+		return nil
 	}
-	v := string(r.b[r.off : r.off+n])
-	r.off += n
-	return v
+	out := make([][2]int32, n)
+	for i := range out {
+		out[i] = [2]int32{r.i32(), r.i32()}
+	}
+	return out
 }
 
 // finish asserts the payload was consumed exactly.
@@ -218,6 +226,16 @@ func appendU32(dst []byte, v uint32) []byte { return le.AppendUint32(dst, v) }
 func appendU64(dst []byte, v uint64) []byte { return le.AppendUint64(dst, v) }
 func appendF64(dst []byte, v float64) []byte {
 	return le.AppendUint64(dst, math.Float64bits(v))
+}
+
+// appendPairs encodes a pair list (routes-batch and sweep requests).
+func appendPairs(dst []byte, pairs [][2]int32) []byte {
+	dst = appendU32(dst, uint32(len(pairs)))
+	for _, p := range pairs {
+		dst = appendU32(dst, uint32(p[0]))
+		dst = appendU32(dst, uint32(p[1]))
+	}
+	return dst
 }
 
 func appendStr(dst []byte, s string) ([]byte, error) {
@@ -249,223 +267,6 @@ func binParseID(id string) uint64 {
 		return 0
 	}
 	return n
-}
-
-// binOpName maps an opcode to the protocol's op string; unknown opcodes
-// get a synthetic name so dispatch answers unknown-op, keeping version
-// skew non-fatal exactly like an unknown JSON op string.
-func binOpName(op byte) string {
-	switch op {
-	case binOpRoute:
-		return OpRoute
-	case binOpBatch:
-		return OpRoutesBatch
-	case binOpEstimate:
-		return OpEstimate
-	case binOpTopoLoad:
-		return OpTopoLoad
-	case binOpTopoEvict:
-		return OpTopoEvict
-	case binOpStats:
-		return OpStats
-	case binOpHealth:
-		return OpHealth
-	case binOpSweep:
-		return OpSweep
-	case binOpTestSleep:
-		return OpTestSleep
-	case binOpTestCrash:
-		return OpTestCrash
-	}
-	return fmt.Sprintf(binOpNameUnknownFmt, op)
-}
-
-// binOpCode is the inverse of binOpName for the ops a client can send.
-func binOpCode(op string) (byte, bool) {
-	switch op {
-	case OpRoute:
-		return binOpRoute, true
-	case OpRoutesBatch:
-		return binOpBatch, true
-	case OpEstimate:
-		return binOpEstimate, true
-	case OpTopoLoad:
-		return binOpTopoLoad, true
-	case OpTopoEvict:
-		return binOpTopoEvict, true
-	case OpStats:
-		return binOpStats, true
-	case OpHealth:
-		return binOpHealth, true
-	case OpSweep:
-		return binOpSweep, true
-	case OpTestSleep:
-		return binOpTestSleep, true
-	case OpTestCrash:
-		return binOpTestCrash, true
-	}
-	return 0, false
-}
-
-// AppendBinaryRequest encodes one request as a v2 payload (no length
-// prefix — AppendFrame adds it). The id is the binary protocol's
-// numeric request tag; 0 means "no id". Request.ID is ignored.
-func AppendBinaryRequest(dst []byte, id uint64, req *Request) ([]byte, error) {
-	op, ok := binOpCode(req.Op)
-	if !ok {
-		return dst, fmt.Errorf("serve: op %q has no binary encoding", req.Op)
-	}
-	dst = appendU64(dst, id)
-	dst = append(dst, op)
-	var err error
-	switch op {
-	case binOpRoute, binOpEstimate:
-		if req.Src == nil || req.Dst == nil {
-			return dst, fmt.Errorf("serve: %s needs src and dst", req.Op)
-		}
-		if dst, err = appendStr(dst, req.Topo); err != nil {
-			return dst, err
-		}
-		dst = appendU32(dst, uint32(*req.Src))
-		dst = appendU32(dst, uint32(*req.Dst))
-	case binOpBatch:
-		if dst, err = appendStr(dst, req.Topo); err != nil {
-			return dst, err
-		}
-		dst = appendU32(dst, uint32(len(req.Pairs)))
-		for _, p := range req.Pairs {
-			dst = appendU32(dst, uint32(p[0]))
-			dst = appendU32(dst, uint32(p[1]))
-		}
-	case binOpTopoLoad:
-		p := req.Params
-		if p == nil {
-			p = &TopoParams{}
-		}
-		if dst, err = appendStr(dst, p.Topo); err != nil {
-			return dst, err
-		}
-		dst = appendU32(dst, uint32(p.N))
-		dst = appendU32(dst, uint32(p.X))
-		dst = appendU32(dst, uint32(p.Y))
-		if dst, err = appendStr(dst, p.Selector); err != nil {
-			return dst, err
-		}
-		dst = appendU32(dst, uint32(p.K))
-		dst = appendU64(dst, p.Seed)
-		dst = appendU32(dst, uint32(p.TopoSample))
-		if dst, err = appendStr(dst, p.Mechanism); err != nil {
-			return dst, err
-		}
-		if dst, err = appendStr(dst, p.Estimator); err != nil {
-			return dst, err
-		}
-		dst = appendU32(dst, uint32(p.PairSample))
-	case binOpTopoEvict:
-		if dst, err = appendStr(dst, req.Topo); err != nil {
-			return dst, err
-		}
-	case binOpStats, binOpHealth, binOpTestCrash:
-		// No fields.
-	case binOpSweep:
-		sp := req.Sweep
-		if sp == nil {
-			sp = &SweepParams{}
-		}
-		if dst, err = appendStr(dst, req.Topo); err != nil {
-			return dst, err
-		}
-		dst = appendU32(dst, uint32(sp.Count))
-		dst = appendU64(dst, sp.Seed)
-		dst = appendU32(dst, uint32(sp.Chunk))
-		dst = appendU32(dst, uint32(len(sp.Pairs)))
-		for _, p := range sp.Pairs {
-			dst = appendU32(dst, uint32(p[0]))
-			dst = appendU32(dst, uint32(p[1]))
-		}
-	case binOpTestSleep:
-		dst = appendU32(dst, uint32(req.SleepMS))
-	}
-	return dst, nil
-}
-
-// DecodeBinaryRequest decodes a v2 request payload into the shared
-// Request shape (the op as its protocol string, the binary id rendered
-// through binFormatID), so both codecs dispatch through identical
-// handlers. The id is returned even when decoding fails mid-payload, so
-// the error frame can still echo it.
-func DecodeBinaryRequest(payload []byte) (id uint64, req Request, err error) {
-	r := &binReader{b: payload}
-	id = r.u64()
-	op := r.u8()
-	if r.err != nil {
-		return id, req, r.err
-	}
-	req.V = ProtocolVersion
-	req.ID = binFormatID(id)
-	req.Op = binOpName(op)
-	switch op {
-	case binOpRoute, binOpEstimate:
-		req.Topo = r.str()
-		src, dst := r.i32(), r.i32()
-		req.Src, req.Dst = &src, &dst
-	case binOpBatch:
-		req.Topo = r.str()
-		n := int(r.u32())
-		// Bounds: the count must fit the remaining bytes (8 per pair)
-		// before a single allocation. The protocol-level batch cap is
-		// the handler's call — an oversized-but-well-framed batch must
-		// answer batch-too-large exactly like its JSON twin.
-		if !r.need(8 * n) {
-			return id, req, r.err
-		}
-		req.Pairs = make([][2]int32, n)
-		for i := range req.Pairs {
-			req.Pairs[i] = [2]int32{r.i32(), r.i32()}
-		}
-	case binOpTopoLoad:
-		p := &TopoParams{}
-		p.Topo = r.str()
-		p.N = int(r.i32())
-		p.X = int(r.i32())
-		p.Y = int(r.i32())
-		p.Selector = r.str()
-		p.K = int(r.i32())
-		p.Seed = r.u64()
-		p.TopoSample = int(r.i32())
-		p.Mechanism = r.str()
-		p.Estimator = r.str()
-		p.PairSample = int(r.i32())
-		req.Params = p
-	case binOpTopoEvict:
-		req.Topo = r.str()
-	case binOpStats, binOpHealth, binOpTestCrash:
-	case binOpTestSleep:
-		req.SleepMS = int(r.u32())
-	case binOpSweep:
-		sp := &SweepParams{}
-		req.Topo = r.str()
-		sp.Count = int(r.i32())
-		sp.Seed = r.u64()
-		sp.Chunk = int(r.i32())
-		n := int(r.u32())
-		if !r.need(8 * n) {
-			return id, req, r.err
-		}
-		if n > 0 {
-			sp.Pairs = make([][2]int32, n)
-			for i := range sp.Pairs {
-				sp.Pairs[i] = [2]int32{r.i32(), r.i32()}
-			}
-		}
-		req.Sweep = sp
-	default:
-		// Unknown opcode: no fields are decoded; dispatch answers
-		// unknown-op. Trailing bytes are tolerated here (a newer
-		// client's fields), matching JSON's unknown-field tolerance.
-		return id, req, nil
-	}
-	return id, req, r.finish()
 }
 
 // appendRouteResult encodes one route: path length, nodes, then the

@@ -304,9 +304,10 @@ func TestBinaryRefusalAtConnLimit(t *testing.T) {
 func ptr[T any](v T) *T { return &v }
 
 // TestBinaryGoldenFixtures pins the exact v2 wire bytes of one
-// representative frame per op and response kind. Run with -update to
-// regenerate after an intentional format change (which must also bump
-// BinaryVersion and docs/SERVICE.md).
+// representative frame per op and response kind, and fails if an op in
+// the op table has no request fixture. Run with -update to regenerate
+// after an intentional format change (which must also bump
+// BinaryVersion and docs/SERVICE.md) or to write a new op's fixture.
 func TestBinaryGoldenFixtures(t *testing.T) {
 	reqs := []struct {
 		name string
@@ -326,6 +327,16 @@ func TestBinaryGoldenFixtures(t *testing.T) {
 		{"req-sweep-count", 8, serve.Request{Op: serve.OpSweep, Topo: "topo-A", Sweep: &serve.SweepParams{Count: 1000, Seed: 5, Chunk: 128}}},
 		{"req-sweep-pairs", 9, serve.Request{Op: serve.OpSweep, Topo: "topo-A", Sweep: &serve.SweepParams{Pairs: [][2]int32{{1, 2}, {3, 4}}}}},
 		{"req-test-sleep", 10, serve.Request{Op: serve.OpTestSleep, SleepMS: 250}},
+		{"req-test-crash", 11, serve.Request{Op: serve.OpTestCrash}},
+	}
+	covered := map[string]bool{}
+	for _, tc := range reqs {
+		covered[tc.req.Op] = true
+	}
+	for _, op := range serve.TableOps() {
+		if !covered[op.Name] {
+			t.Errorf("op %s (opcode %d) has no req- golden fixture", op.Name, op.Code)
+		}
 	}
 	resps := []struct {
 		name string

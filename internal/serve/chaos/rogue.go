@@ -252,7 +252,9 @@ func (d *DeadlineExceeder) Run(ctx context.Context, network, addr string) error 
 
 // CrashInjector sends the test-crash op (server must run with
 // EnableTestOps), expecting an internal-error frame followed by a
-// connection close each time — panic isolation in action.
+// connection close each time — panic isolation in action. A crash shed
+// with overloaded (the swarm can fill the in-flight limit) never ran, so
+// it is resent on a fresh connection until it lands or the context ends.
 type CrashInjector struct {
 	// Crashes is how many panics to inject (default 1).
 	Crashes int
@@ -270,39 +272,56 @@ func (c *CrashInjector) Run(ctx context.Context, network, addr string) error {
 		crashes = 1
 	}
 	for i := 0; i < crashes; i++ {
-		if ctx.Err() != nil {
-			return ctx.Err()
+		for {
+			if ctx.Err() != nil {
+				return ctx.Err()
+			}
+			shed, err := c.crash(ctx, network, addr, i)
+			if err != nil {
+				return err
+			}
+			if !shed {
+				break
+			}
+			select {
+			case <-ctx.Done():
+			case <-time.After(5 * time.Millisecond):
+			}
 		}
-		conn, err := dialCtx(ctx, network, addr)
-		if err != nil {
-			return err
-		}
-		sc := bufio.NewScanner(conn)
-		sc.Buffer(make([]byte, 64<<10), serve.MaxFrameBytes)
-		if _, err := fmt.Fprintf(conn, `{"v":1,"id":"crash%d","op":"test-crash"}`+"\n", i); err != nil {
-			conn.Close()
-			return fmt.Errorf("crash-injector: write: %w", err)
-		}
-		if !sc.Scan() {
-			conn.Close()
-			return fmt.Errorf("crash-injector: no response: %v", sc.Err())
-		}
-		var resp serve.Response
-		if err := json.Unmarshal(sc.Bytes(), &resp); err != nil {
-			conn.Close()
-			return err
-		}
-		if resp.OK || resp.Error == nil || resp.Error.Code != serve.CodeInternal {
-			conn.Close()
-			return fmt.Errorf("crash-injector: got %q, want %s", sc.Bytes(), serve.CodeInternal)
-		}
-		c.CrashesAcked++
-		// The server must poison exactly this connection.
-		if sc.Scan() {
-			conn.Close()
-			return fmt.Errorf("crash-injector: connection survived a panic: %q", sc.Bytes())
-		}
-		conn.Close()
 	}
 	return nil
+}
+
+// crash sends one test-crash on its own connection. shed reports that
+// the server refused it with overloaded, without executing it.
+func (c *CrashInjector) crash(ctx context.Context, network, addr string, i int) (shed bool, err error) {
+	conn, err := dialCtx(ctx, network, addr)
+	if err != nil {
+		return false, err
+	}
+	defer conn.Close()
+	sc := bufio.NewScanner(conn)
+	sc.Buffer(make([]byte, 64<<10), serve.MaxFrameBytes)
+	if _, err := fmt.Fprintf(conn, `{"v":1,"id":"crash%d","op":"test-crash"}`+"\n", i); err != nil {
+		return false, fmt.Errorf("crash-injector: write: %w", err)
+	}
+	if !sc.Scan() {
+		return false, fmt.Errorf("crash-injector: no response: %v", sc.Err())
+	}
+	var resp serve.Response
+	if err := json.Unmarshal(sc.Bytes(), &resp); err != nil {
+		return false, err
+	}
+	switch {
+	case resp.Error != nil && resp.Error.Code == serve.CodeOverloaded:
+		return true, nil
+	case resp.OK || resp.Error == nil || resp.Error.Code != serve.CodeInternal:
+		return false, fmt.Errorf("crash-injector: got %q, want %s", sc.Bytes(), serve.CodeInternal)
+	}
+	c.CrashesAcked++
+	// The server must poison exactly this connection.
+	if sc.Scan() {
+		return false, fmt.Errorf("crash-injector: connection survived a panic: %q", sc.Bytes())
+	}
+	return false, nil
 }

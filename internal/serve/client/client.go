@@ -511,29 +511,32 @@ func (c *Client) doLocked(ctx context.Context, req serve.Request) (serve.Respons
 	return resp, nil
 }
 
+// doPayload runs Do and returns the response payload pick selects; a
+// success without that payload is a protocol violation.
+func doPayload[T any](ctx context.Context, c *Client, req serve.Request, pick func(*serve.Response) *T) (T, error) {
+	var zero T
+	resp, err := c.Do(ctx, req)
+	if err != nil {
+		return zero, err
+	}
+	p := pick(&resp)
+	if p == nil {
+		return zero, fmt.Errorf("jfserve: %s response missing payload", req.Op)
+	}
+	return *p, nil
+}
+
 // Route asks for one chosen path on the loaded topology.
 func (c *Client) Route(ctx context.Context, topo string, src, dst int32) (serve.RouteResult, error) {
-	resp, err := c.Do(ctx, serve.Request{Op: serve.OpRoute, Topo: topo, Src: &src, Dst: &dst})
-	if err != nil {
-		return serve.RouteResult{}, err
-	}
-	if resp.Route == nil {
-		return serve.RouteResult{}, fmt.Errorf("jfserve: route response missing payload")
-	}
-	return *resp.Route, nil
+	return doPayload(ctx, c, serve.Request{Op: serve.OpRoute, Topo: topo, Src: &src, Dst: &dst},
+		func(r *serve.Response) *serve.RouteResult { return r.Route })
 }
 
 // RoutesBatch routes many pairs in one frame. Entries align with pairs;
 // per-pair failures carry an error code in Entry.Err.
 func (c *Client) RoutesBatch(ctx context.Context, topo string, pairs [][2]int32) (serve.BatchResult, error) {
-	resp, err := c.Do(ctx, serve.Request{Op: serve.OpRoutesBatch, Topo: topo, Pairs: pairs})
-	if err != nil {
-		return serve.BatchResult{}, err
-	}
-	if resp.Batch == nil {
-		return serve.BatchResult{}, fmt.Errorf("jfserve: routes-batch response missing payload")
-	}
-	return *resp.Batch, nil
+	return doPayload(ctx, c, serve.Request{Op: serve.OpRoutesBatch, Topo: topo, Pairs: pairs},
+		func(r *serve.Response) *serve.BatchResult { return r.Batch })
 }
 
 // Sweep submits a streaming sweep and drains its whole result stream:
@@ -641,26 +644,14 @@ func (c *Client) sweepOnceLocked(ctx context.Context, topo string, p serve.Sweep
 // Estimate returns the pair's path-set quality and isolated-flow
 // throughput estimate.
 func (c *Client) Estimate(ctx context.Context, topo string, src, dst int32) (serve.EstimateResult, error) {
-	resp, err := c.Do(ctx, serve.Request{Op: serve.OpEstimate, Topo: topo, Src: &src, Dst: &dst})
-	if err != nil {
-		return serve.EstimateResult{}, err
-	}
-	if resp.Estimate == nil {
-		return serve.EstimateResult{}, fmt.Errorf("jfserve: estimate response missing payload")
-	}
-	return *resp.Estimate, nil
+	return doPayload(ctx, c, serve.Request{Op: serve.OpEstimate, Topo: topo, Src: &src, Dst: &dst},
+		func(r *serve.Response) *serve.EstimateResult { return r.Estimate })
 }
 
 // TopoLoad loads (or confirms) a topology and returns its key.
 func (c *Client) TopoLoad(ctx context.Context, p serve.TopoParams) (serve.TopoResult, error) {
-	resp, err := c.Do(ctx, serve.Request{Op: serve.OpTopoLoad, Params: &p})
-	if err != nil {
-		return serve.TopoResult{}, err
-	}
-	if resp.Topo == nil {
-		return serve.TopoResult{}, fmt.Errorf("jfserve: topo-load response missing payload")
-	}
-	return *resp.Topo, nil
+	return doPayload(ctx, c, serve.Request{Op: serve.OpTopoLoad, Params: &p},
+		func(r *serve.Response) *serve.TopoResult { return r.Topo })
 }
 
 // TopoEvict drops a loaded topology. It is not idempotent and is never
@@ -672,25 +663,13 @@ func (c *Client) TopoEvict(ctx context.Context, key string) error {
 
 // Stats returns the server's telemetry snapshot.
 func (c *Client) Stats(ctx context.Context) (serve.StatsResult, error) {
-	resp, err := c.Do(ctx, serve.Request{Op: serve.OpStats})
-	if err != nil {
-		return serve.StatsResult{}, err
-	}
-	if resp.Stats == nil {
-		return serve.StatsResult{}, fmt.Errorf("jfserve: stats response missing payload")
-	}
-	return *resp.Stats, nil
+	return doPayload(ctx, c, serve.Request{Op: serve.OpStats},
+		func(r *serve.Response) *serve.StatsResult { return r.Stats })
 }
 
 // Health returns the server's readiness and resilience counters. It is
 // exempt from server-side shedding, so it answers even under overload.
 func (c *Client) Health(ctx context.Context) (serve.HealthResult, error) {
-	resp, err := c.Do(ctx, serve.Request{Op: serve.OpHealth})
-	if err != nil {
-		return serve.HealthResult{}, err
-	}
-	if resp.Health == nil {
-		return serve.HealthResult{}, fmt.Errorf("jfserve: health response missing payload")
-	}
-	return *resp.Health, nil
+	return doPayload(ctx, c, serve.Request{Op: serve.OpHealth},
+		func(r *serve.Response) *serve.HealthResult { return r.Health })
 }

@@ -163,6 +163,20 @@ func TestDifferentialOps(t *testing.T) {
 	if notFound == 0 {
 		t.Fatal("a 5-pair sample left none of the 12 probes absent; pair-not-found path untested")
 	}
+
+	// Every production op in the op table is compared somewhere: in the
+	// scripts above, or (sweep) by TestDifferentialSweep.
+	covered := map[string]bool{serve.OpSweep: true}
+	for _, sc := range [][]diffStep{script, script2, script3} {
+		for _, st := range sc {
+			covered[st.req.Op] = true
+		}
+	}
+	for _, op := range serve.TableOps() {
+		if !op.Test && !covered[op.Name] {
+			t.Errorf("op %s is in the op table but not in the differential suite", op.Name)
+		}
+	}
 }
 
 // sampledKey resolves the sampled topology's key on one server.

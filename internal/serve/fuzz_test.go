@@ -137,9 +137,10 @@ func batchSeeds(t interface{ Fatal(...any) }) [][]byte {
 	return out
 }
 
-// FuzzBinaryBatch aims the mutator at the routes-batch payload — the
-// fast-path op with its own in-place server decoder — via raw payloads
-// (no frame prefix).
+// FuzzBinaryBatch aims the mutator at request payloads (no frame
+// prefix), seeded with routes-batch frames, and checks the generic
+// decoder's round trip. The server's in-place routes-batch decoder is
+// fuzzed against that decoder by FuzzBatchCall.
 func FuzzBinaryBatch(f *testing.F) {
 	for _, s := range batchSeeds(f) {
 		f.Add(s)

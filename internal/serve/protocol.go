@@ -9,7 +9,9 @@
 // This file holds the wire types. They are plain structs marshaled with
 // encoding/json, one object per line; field names below are the wire
 // names. Any change here must be reflected in docs/SERVICE.md and, if
-// incompatible, bump ProtocolVersion.
+// incompatible, bump ProtocolVersion. The operations themselves — wire
+// name, binary opcode, binary request fields and handler — are declared
+// once, in opTable (ops.go).
 package serve
 
 import "repro/internal/telemetry"

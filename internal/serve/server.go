@@ -182,7 +182,7 @@ type Server struct {
 
 	requests     atomic.Int64
 	routeLookups atomic.Int64
-	perOp        map[string]*atomic.Int64
+	ops          map[string]*serverOp // the ops this server answers
 	latency      *telemetry.Histogram // microsecond buckets
 
 	// Resilience state: the in-flight semaphore (nil = unlimited), the
@@ -207,17 +207,15 @@ func NewServer(opts Options) *Server {
 		conns:     make(map[net.Conn]struct{}),
 		quit:      make(chan struct{}),
 		listeners: make(map[net.Listener]struct{}),
-		perOp:     make(map[string]*atomic.Int64),
+		ops:       make(map[string]*serverOp, len(opTable)),
 		// 1 µs buckets up to ~65 ms; slower requests (topo-load builds)
 		// land in the overflow bucket and read as "at least the cap".
 		latency: telemetry.NewHistogram(1, 1<<16),
 	}
-	for _, op := range []string{OpRoute, OpRoutesBatch, OpEstimate, OpTopoLoad, OpTopoEvict, OpStats, OpHealth, OpSweep} {
-		s.perOp[op] = &atomic.Int64{}
-	}
-	if opts.EnableTestOps {
-		s.perOp[OpTestSleep] = &atomic.Int64{}
-		s.perOp[OpTestCrash] = &atomic.Int64{}
+	for i := range opTable {
+		if op := &opTable[i]; !op.test || opts.EnableTestOps {
+			s.ops[op.name] = &serverOp{opSpec: op}
+		}
 	}
 	if opts.MaxInFlight > 0 {
 		s.inflight = make(chan struct{}, opts.MaxInFlight)
@@ -226,6 +224,13 @@ func NewServer(opts Options) *Server {
 		s.sweepSem = make(chan struct{}, opts.MaxSweeps)
 	}
 	return s
+}
+
+// serverOp is one op a server answers, with its request counter (the
+// stats op's per_op entry).
+type serverOp struct {
+	*opSpec
+	requests atomic.Int64
 }
 
 // Counters exposes the resilience counters (shed, panics, timeouts) for
@@ -710,7 +715,8 @@ func (s *Server) admitBinary(payload []byte, cw *connWriter) opResult {
 // routes straight off the wire bytes without materializing a Request.
 type call struct {
 	req  Request
-	id   uint64 // binary frame id (0 for JSON)
+	op   *serverOp // set by admit; nil when this server has no such op
+	id   uint64    // binary frame id (0 for JSON)
 	fast bool
 	topo []byte // fast: topology key bytes
 	n    int    // fast: pair count
@@ -726,39 +732,27 @@ func (c *call) errID() string {
 	return c.req.ID
 }
 
-// decodeBatchCall views a binary routes-batch payload in place. Layout
-// after the id and opcode: u16 topo length, topo bytes, u32 pair count,
-// count × (u32 src, u32 dst) — and nothing else. Errors match
-// DecodeBinaryRequest's; the batch-size limits are the handler's call,
-// exactly as on the generic path.
+// decodeBatchCall views a binary routes-batch payload in place: the
+// layout and errors of DecodeBinaryRequest's routes-batch decoder, read
+// through the same binReader, but the topology key and pairs are left
+// as views into the payload. The batch-size limits are the handler's
+// call, exactly as on the generic path.
 func decodeBatchCall(payload []byte) (call, error) {
-	c := call{req: Request{Op: OpRoutesBatch}, id: le.Uint64(payload), fast: true}
-	p := payload[9:]
-	if len(p) < 6 {
-		return c, errTruncated
-	}
-	tlen := int(le.Uint16(p))
-	if tlen > maxBinaryString || len(p) < 2+tlen+4 {
-		return c, errTruncated
-	}
-	c.topo = p[2 : 2+tlen]
-	c.n = int(le.Uint32(p[2+tlen:]))
-	c.body = p[2+tlen+4:]
-	if 8*c.n > len(c.body) {
-		return c, errTruncated
-	}
-	if 8*c.n < len(c.body) {
-		return c, errTrailing
-	}
-	return c, nil
+	r := binReader{b: payload}
+	c := call{req: Request{Op: OpRoutesBatch}, id: r.u64(), fast: true}
+	r.u8() // the opcode
+	c.topo = r.strView()
+	c.n = int(r.u32())
+	c.body = r.view(8 * c.n)
+	return c, r.finish()
 }
 
 // admit applies the resilience policy — per-op count, health bypass,
 // load shedding, handler timeout, panic recovery — around the op
 // dispatch, identically for both codecs and the binary batch fast path.
 func (s *Server) admit(c call, cw *connWriter) opResult {
-	if ctr, ok := s.perOp[c.req.Op]; ok {
-		ctr.Add(1)
+	if c.op = s.ops[c.req.Op]; c.op != nil {
+		c.op.requests.Add(1)
 	}
 	// health must answer while the server is overloaded, so it is
 	// exempt from the in-flight limit and the handler timeout. It only
@@ -836,39 +830,13 @@ func (s *Server) runOp(c call, cw *connWriter) (res opResult) {
 				fmt.Sprintf("handler panicked: %v; closing this connection", r)), poison: true}
 		}
 	}()
-	if c.fast {
+	switch {
+	case c.fast:
 		return s.binaryBatch(&c, cw)
+	case c.op == nil:
+		return result(errResponse(c.req.ID, CodeUnknownOp, fmt.Sprintf("unknown op %q", c.req.Op)))
 	}
-	return s.dispatch(c.req, cw)
-}
-
-func (s *Server) dispatch(req Request, cw *connWriter) opResult {
-	switch req.Op {
-	case OpRoute:
-		return result(s.handleRoute(req))
-	case OpRoutesBatch:
-		return result(s.handleRoutesBatch(req))
-	case OpEstimate:
-		return result(s.handleEstimate(req))
-	case OpTopoLoad:
-		return result(s.handleTopoLoad(req))
-	case OpTopoEvict:
-		return result(s.handleTopoEvict(req))
-	case OpStats:
-		return result(s.handleStats(req))
-	case OpSweep:
-		return s.handleSweep(req, cw)
-	case OpTestSleep:
-		if s.opts.EnableTestOps {
-			time.Sleep(time.Duration(req.SleepMS) * time.Millisecond)
-			return result(okResponse(req.ID))
-		}
-	case OpTestCrash:
-		if s.opts.EnableTestOps {
-			panic("injected test-crash")
-		}
-	}
-	return result(errResponse(req.ID, CodeUnknownOp, fmt.Sprintf("unknown op %q", req.Op)))
+	return c.op.run(s, c.req, cw)
 }
 
 // binaryBatch is the binary routes-batch handler: it routes straight
@@ -877,21 +845,9 @@ func (s *Server) dispatch(req Request, cw *connWriter) opResult {
 // handleRoutesBatch exactly — same error codes, same response bytes —
 // which the differential suite pins.
 func (s *Server) binaryBatch(c *call, cw *connWriter) opResult {
-	fail := func(code, msg string) opResult {
+	e, code, msg := s.batchTopo(c.n, c.topo)
+	if e == nil {
 		return result(errResponse(c.errID(), code, msg))
-	}
-	if c.n == 0 {
-		return fail(CodeBadRequest, "routes-batch needs a non-empty pairs array")
-	}
-	if c.n > MaxBatchPairs {
-		return fail(CodeBatchTooLarge,
-			fmt.Sprintf("%d pairs exceed the %d-pair batch limit", c.n, MaxBatchPairs))
-	}
-	s.mu.Lock()
-	e, ok := s.topos[string(c.topo)] // keys the lookup without allocating
-	s.mu.Unlock()
-	if !ok {
-		return fail(CodeUnknownTopo, fmt.Sprintf("topology %q not loaded", c.topo))
 	}
 	out := appendU64(cw.takeScratch(), c.id) // echo the id
 	out = append(out, binKindBatch)
@@ -1013,17 +969,30 @@ func (s *Server) handleRoute(req Request) Response {
 	return resp
 }
 
-func (s *Server) handleRoutesBatch(req Request) Response {
-	if len(req.Pairs) == 0 {
-		return errResponse(req.ID, CodeBadRequest, "routes-batch needs a non-empty pairs array")
+// batchTopo applies the routes-batch rules both batch handlers share —
+// a non-empty batch of at most MaxBatchPairs pairs on a loaded topology —
+// and resolves the topology, or returns nil and the error code and
+// message to answer.
+func (s *Server) batchTopo(n int, topo []byte) (*topoEntry, string, string) {
+	switch {
+	case n == 0:
+		return nil, CodeBadRequest, "routes-batch needs a non-empty pairs array"
+	case n > MaxBatchPairs:
+		return nil, CodeBatchTooLarge, fmt.Sprintf("%d pairs exceed the %d-pair batch limit", n, MaxBatchPairs)
 	}
-	if len(req.Pairs) > MaxBatchPairs {
-		return errResponse(req.ID, CodeBatchTooLarge,
-			fmt.Sprintf("%d pairs exceed the %d-pair batch limit", len(req.Pairs), MaxBatchPairs))
-	}
-	e, ok := s.entry(req.Topo)
+	s.mu.Lock()
+	e, ok := s.topos[string(topo)] // keys the lookup without allocating
+	s.mu.Unlock()
 	if !ok {
-		return errResponse(req.ID, CodeUnknownTopo, fmt.Sprintf("topology %q not loaded", req.Topo))
+		return nil, CodeUnknownTopo, fmt.Sprintf("topology %q not loaded", string(topo))
+	}
+	return e, "", ""
+}
+
+func (s *Server) handleRoutesBatch(req Request) Response {
+	e, code, msg := s.batchTopo(len(req.Pairs), []byte(req.Topo))
+	if e == nil {
+		return errResponse(req.ID, code, msg)
 	}
 	out := BatchResult{Entries: make([]BatchEntry, len(req.Pairs))}
 	for i, pr := range req.Pairs {
@@ -1420,14 +1389,14 @@ func (s *Server) handleStats(req Request) Response {
 		UptimeSeconds: uptime,
 		Requests:      s.requests.Load(),
 		RouteLookups:  s.routeLookups.Load(),
-		PerOp:         make(map[string]int64, len(s.perOp)),
+		PerOp:         make(map[string]int64, len(s.ops)),
 		Latency:       latencySummaryOf(s.latency.Summarize()),
 	}
 	if uptime > 0 {
 		st.QPS = float64(st.Requests) / uptime
 	}
-	for op, c := range s.perOp {
-		st.PerOp[op] = c.Load()
+	for name, op := range s.ops {
+		st.PerOp[name] = op.requests.Load()
 	}
 	s.mu.Lock()
 	for _, e := range s.topos {
