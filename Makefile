@@ -9,7 +9,7 @@
 # Compare two jfbench results files with `make bench-diff BASE=a.json
 # NEW=b.json`: several repetitions, alternating which commit runs first,
 # on an idle machine, before trusting a delta (docs/PERFORMANCE.md).
-.PHONY: check build test bench bench-diff fmt lint race-graph race-faults race-paths race-serve race-serve-v2 race-chaos race-flit-events flit-event-smoke fuzz-paths fuzz-serve serve-smoke chaos-smoke docs-check
+.PHONY: check build test bench bench-diff fmt lint race-graph race-faults race-paths race-serve race-serve-v2 race-chaos race-flit-events flit-event-smoke fuzz serve-smoke chaos-smoke docs-check
 
 check: fmt lint
 	go vet ./...
@@ -22,7 +22,7 @@ check: fmt lint
 	$(MAKE) race-chaos
 	$(MAKE) race-flit-events
 	$(MAKE) flit-event-smoke
-	$(MAKE) fuzz-paths
+	$(MAKE) fuzz
 	$(MAKE) serve-smoke
 	$(MAKE) docs-check
 	go build ./...
@@ -90,7 +90,8 @@ race-chaos:
 race-flit-events:
 	go test -race -count=1 -run 'EventDrivenFault|EventCycle|StepContract' ./internal/flitsim
 
-# Golden-equivalence smoke: event-driven vs cycle-stepped at the three
+# Golden-equivalence smoke: both modes must reproduce their committed
+# goldens field by field; event-driven vs cycle-stepped at the three
 # golden loads (0.05, 0.30, 0.90) must agree on saturation verdicts and
 # delivered throughput, and the exact-equivalence run (rate-1 SP, where
 # both modes consume zero injection randomness) must be bit-identical.
@@ -112,23 +113,21 @@ chaos-smoke:
 docs-check:
 	go run ./internal/docscheck
 
-# Short fuzz smoke of both path deserializers (text archive and binary
-# cache): 10s each on top of the committed corpus under
-# internal/paths/testdata/fuzz. Longer sessions: raise -fuzztime.
-fuzz-paths:
-	go test -fuzz=FuzzPathsRead -fuzztime=10s -run '^$$' ./internal/paths
-	go test -fuzz=FuzzCacheRead -fuzztime=10s -run '^$$' ./internal/paths
-
-# Short fuzz smoke of the binary v2 wire decoders on top of the
-# committed corpus under internal/serve/testdata/fuzz (seeded from the
-# golden fixtures plus truncations, oversized length prefixes and
-# version-skew bytes), then of the server's in-place routes-batch
-# decoder against the generic one (seeded in code). Longer sessions:
-# raise -fuzztime.
-fuzz-serve:
-	go test -fuzz=FuzzBinaryFrame -fuzztime=10s -run '^$$' ./internal/serve
-	go test -fuzz=FuzzBinaryBatch -fuzztime=10s -run '^$$' ./internal/serve
-	go test -fuzz=FuzzBatchCall -fuzztime=10s -run '^$$' ./internal/serve
+# Short fuzz smoke of every Fuzz* function in the root module, 10s each on
+# top of its seeds (f.Add calls plus any committed testdata/fuzz corpus):
+# the path deserializers, the jfserve wire decoders and the -faults
+# schedule parser. `go test -list` finds the fuzzers, so a new one joins
+# the gate without an edit here. Longer sessions: raise -fuzztime.
+fuzz:
+	@set -e; list=$$(go test -list '^Fuzz' ./...); \
+	printf '%s\n' "$$list" | \
+	awk '/^Fuzz/ { fns = fns " " $$1 } /^ok/ { if (fns != "") print $$2 fns; fns = "" }' | \
+	while read -r pkg fns; do \
+		for fn in $$fns; do \
+			echo "go test -fuzz=^$$fn\$$ $$pkg"; \
+			go test -fuzz="^$$fn\$$" -fuzztime=10s -run '^$$' "$$pkg" || exit 1; \
+		done; \
+	done
 
 build:
 	go build ./...

@@ -56,10 +56,11 @@ func main() {
 		fatal(err)
 	}
 	defer prof.Stop()
-	if *rateStep <= 0 {
+	// Written so NaN fails: every comparison with NaN is false.
+	if !(*rateStep > 0) {
 		fatal(fmt.Errorf("-rate-step must be positive, got %g", *rateStep))
 	}
-	if *rateStart <= 0 || *rateStart > *rateStop || *rateStop > 1 {
+	if !(0 < *rateStart && *rateStart <= *rateStop && *rateStop <= 1) {
 		fatal(fmt.Errorf("offered-load range (%g, %g) must satisfy 0 < start <= stop <= 1", *rateStart, *rateStop))
 	}
 	params, err := jellyfish.ByName(*topoName)

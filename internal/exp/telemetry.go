@@ -48,7 +48,7 @@ type FlitTelemetryConfig struct {
 func FlitTelemetryRun(cfg FlitTelemetryConfig, sc Scale) (flitsim.Result, *telemetry.Collector, telemetry.Manifest, error) {
 	sc = sc.withDefaults()
 	var zero flitsim.Result
-	if cfg.Rate <= 0 || cfg.Rate > 1 {
+	if !(cfg.Rate > 0 && cfg.Rate <= 1) { // NaN fails too
 		return zero, nil, telemetry.Manifest{}, fmt.Errorf("exp: injection rate %v outside (0, 1]", cfg.Rate)
 	}
 	if cfg.Mechanism == nil {

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -32,6 +33,14 @@ func TestFlitTelemetryRun(t *testing.T) {
 	for _, name := range []string{"manifest.json", "links.csv", "latency_hist.json", "windows.csv"} {
 		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
 			t.Fatalf("missing export %s: %v", name, err)
+		}
+	}
+
+	for _, rate := range []float64{0, 1.5, math.NaN()} {
+		if _, _, _, err := FlitTelemetryRun(FlitTelemetryConfig{
+			Params: tiny, Selector: ksp.REDKSP, Pattern: "uniform", Rate: rate,
+		}, tinyScale()); err == nil {
+			t.Errorf("injection rate %v accepted", rate)
 		}
 	}
 }

@@ -274,39 +274,3 @@ func TestEventDrivenFaultRun(t *testing.T) {
 		t.Fatalf("delivered rate cycle %v vs event %v", rc.DeliveredRate, re.DeliveredRate)
 	}
 }
-
-// TestFusedForwardDifferential runs identical configurations with the
-// fused arrival-forward fast path enabled and disabled, across loads and
-// mechanisms, and requires bit-identical Results — the regression net for
-// fuseForward's occupancy guards.
-func TestFusedForwardDifferential(t *testing.T) {
-	topo := jelly(t, 12, 8, 4, 3)
-	pdb := db(topo, ksp.REDKSP, 4)
-	mechs := []routing.Mechanism{routing.SP(), routing.KSPAdaptive(), routing.VanillaUGAL()}
-	for _, mech := range mechs {
-		for _, load := range []float64{0.05, 0.3, 0.9} {
-			for _, event := range []bool{false, true} {
-				cfg := Config{
-					Topo:          topo,
-					Paths:         pdb,
-					Mechanism:     mech,
-					Traffic:       traffic.Uniform{N: topo.NumTerminals()},
-					InjectionRate: load,
-					Seed:          1234,
-					EventDriven:   event,
-					WarmupCycles:  300,
-					SampleCycles:  300,
-					NumSamples:    4,
-				}
-				fused := New(cfg)
-				plain := New(cfg)
-				plain.noFuse = true
-				rf, rp := fused.Run(), plain.Run()
-				if !reflect.DeepEqual(rf, rp) {
-					t.Fatalf("%s load %v event=%v: fused run differs from phased run:\nfused: %+v\nplain: %+v",
-						mech.Name(), load, event, rf, rp)
-				}
-			}
-		}
-	}
-}

@@ -131,12 +131,7 @@ func (s *Sim) processReroutes() {
 			}
 			s.setPath(p, np)
 		}
-		var link, vc int32
-		if len(p.links) == 0 {
-			link, vc = s.ejLink(p.dstTerm), 0
-		} else {
-			link, vc = p.links[0], 0
-		}
+		link, vc := s.firstLinkOf(p)
 		if !s.spaceIn(link, vc) {
 			kept = append(kept, id)
 			continue

@@ -245,24 +245,9 @@ type Sim struct {
 	queuedPkts int64
 	srcQueued  int64
 
-	// Fused-forward scratch (deliverArrivals): per-link arrival count for
-	// the current cycle, stamp-validated so it never needs clearing, plus
-	// the cycles skipped by event-driven sleeps and a test hook to disable
-	// fusion for differential checks.
-	arrStamp []int64
-	arrCount []int32
-	skipped  int64
-	noFuse   bool
-
-	// fwdBuf collects the cycle's network-channel forwards (fused and
-	// phase-3 alike) and flushes them to the wheel sorted by forwarding
-	// link, so the future arrival slot's order — and therefore the FIFO
-	// order of same-cycle arrivals into one (link, vc) queue — is exactly
-	// the ascending-link order the pure phase-3 scan would have produced.
-	fwdBuf []fwdEntry
-
 	eventDriven bool
 	inj         *injector // nil unless EventDriven
+	skipped     int64     // cycles the event-driven advance jumped over
 
 	pkts  []packet
 	free  int32 // packet freelist head (-1 none)
@@ -329,13 +314,6 @@ type arrival struct {
 	pkt  int32
 	link int32
 	vc   int32
-}
-
-// fwdEntry is one network-channel forward awaiting its wheel append: the
-// packet arrives as a at clock+ChannelLatency, sent by link from.
-type fwdEntry struct {
-	from int32
-	a    arrival
 }
 
 func newWheel(horizon int) wheel {
@@ -408,7 +386,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("flitsim: Traffic is required")
 	case c.Mechanism == nil:
 		return fmt.Errorf("flitsim: Mechanism is required")
-	case c.InjectionRate < 0 || c.InjectionRate > 1:
+	case !(c.InjectionRate >= 0 && c.InjectionRate <= 1): // NaN fails too
 		return fmt.Errorf("flitsim: injection rate %v out of [0,1]", c.InjectionRate)
 	case c.ChannelLatency < 0:
 		return fmt.Errorf("flitsim: negative channel latency %d", c.ChannelLatency)
@@ -479,8 +457,6 @@ func NewSim(cfg Config) (*Sim, error) {
 	s.qlen = make([]int32, nLinks)
 	s.active = make([]uint64, (nLinks+63)/64)
 	s.srcActive = make([]uint64, (s.numTerm+63)/64)
-	s.arrStamp = make([]int64, nLinks)
-	s.arrCount = make([]int32, nLinks)
 	s.eventDriven = cfg.EventDriven
 	if cfg.EventDriven {
 		s.inj = newInjector(s.numTerm, cfg.InjectionRate, cfg.Seed)
@@ -533,30 +509,8 @@ func NewSim(cfg Config) (*Sim, error) {
 // Telemetry returns the attached collector (nil when telemetry is off).
 func (s *Sim) Telemetry() *telemetry.Collector { return s.tel }
 
-// linkID resolves the directed network link u→v. The graph's CSR arena
-// makes this a short binary search over one node's sorted neighbor segment
-// (≤ 5 probes at Jellyfish degrees, within a cache line or two), so the
-// dense n² (u,v)→link table this used to maintain — and its 16 MB cap
-// that silently degraded topologies past ~2k switches — is gone. The hot
-// loop barely calls this anyway: per-packet link ids are precomputed once
-// by setPath, leaving PathCost's first-hop probe as the main caller.
-func (s *Sim) linkID(u, v graph.NodeID) int32 {
-	return s.g.LinkID(u, v)
-}
-
 func (s *Sim) injLink(term int32) int32 { return int32(s.numNet) + term }
 func (s *Sim) ejLink(term int32) int32  { return int32(s.numNet+s.numTerm) + term }
-
-// QueueLen returns the committed occupancy (queued plus reserved in-flight)
-// of the directed network link u→v: the congestion signal adaptive
-// mechanisms compare. It panics if {u,v} is not an edge.
-func (s *Sim) QueueLen(u, v graph.NodeID) int {
-	id := s.linkID(u, v)
-	if id < 0 {
-		panic(fmt.Sprintf("flitsim: no link %d->%d", u, v))
-	}
-	return int(s.occ[id])
-}
 
 // PathCost is the UGAL-style latency estimate: the committed occupancy of
 // the path's first network link times the path's hop count. Zero-hop
@@ -567,7 +521,7 @@ func (s *Sim) PathCost(p graph.Path) int {
 	if h <= 0 {
 		return 0
 	}
-	return int(s.occ[s.linkID(p[0], p[1])]) * h
+	return int(s.occ[s.g.LinkID(p[0], p[1])]) * h
 }
 
 // choosePath runs the configured mechanism for one packet from switch src
@@ -600,7 +554,7 @@ func (s *Sim) setPath(p *packet, path graph.Path) {
 	p.path = path
 	p.links = p.links[:0]
 	for i := 0; i+1 < len(path); i++ {
-		p.links = append(p.links, s.linkID(path[i], path[i+1]))
+		p.links = append(p.links, s.g.LinkID(path[i], path[i+1]))
 	}
 }
 
@@ -670,7 +624,7 @@ func (s *Sim) step(measuring bool, sampleLatSum *int64, sampleCount *int64) {
 			s.onFaultEvents(evs)
 		}
 	}
-	s.deliverArrivals(measuring, sampleLatSum, sampleCount)
+	s.deliverArrivals()
 	s.drainEjections(measuring, sampleLatSum, sampleCount)
 	s.forwardNetwork()
 	// 3b. Re-insert rerouted packets waiting for buffer space on their
@@ -697,40 +651,8 @@ func (s *Sim) step(measuring bool, sampleLatSum *int64, sampleCount *int64) {
 // reserved queue slots. A packet can land at the tail of a link that
 // failed while it was in flight toward it; it is then standing at the
 // link's sending switch and reroutes (or drops) from there.
-//
-// When a link receives exactly one arrival this cycle and had nothing
-// queued, the packet is this cycle's arbitration winner by construction,
-// so its phase-2/phase-3 service is performed immediately (fuseForward) —
-// skipping the queue push, VC pick and pop entirely. Occupancy guards in
-// fuseForward keep the shortcut bit-identical to the phased execution;
-// when any guard fails the packet falls back to the normal push.
-func (s *Sim) deliverArrivals(measuring bool, sampleLatSum, sampleCount *int64) {
-	arr := s.inflight.take(s.clock)
-	if len(arr) == 0 {
-		return
-	}
-	fuse := !s.noFuse && (s.faults == nil || !s.faults.Active())
-	var pf int32
-	if fuse {
-		// pf bounds how many same-cycle queue-occupancy changes any single
-		// (link, vc) can still see: every queued packet and every arrival
-		// may move at most once per cycle. Guarding fused decisions with
-		// "occupancy + pf fits the buffer" makes them order-independent.
-		q := s.queuedPkts
-		if q > int64(s.cfg.BufDepth) {
-			q = int64(s.cfg.BufDepth) + 1 // guards all fail; avoid overflow
-		}
-		pf = int32(len(arr)) + int32(q)
-		for _, a := range arr {
-			if s.arrStamp[a.link] != s.clock+1 {
-				s.arrStamp[a.link] = s.clock + 1
-				s.arrCount[a.link] = 1
-			} else {
-				s.arrCount[a.link]++
-			}
-		}
-	}
-	for _, a := range arr {
+func (s *Sim) deliverArrivals() {
+	for _, a := range s.inflight.take(s.clock) {
 		if s.faults != nil && s.faults.LinkDown(a.link) {
 			p := &s.pkts[a.pkt]
 			s.occ[a.link]--
@@ -738,93 +660,8 @@ func (s *Sim) deliverArrivals(measuring bool, sampleLatSum, sampleCount *int64) 
 			s.handleFaultPacket(a.pkt, p.path[p.hop])
 			continue
 		}
-		if fuse && s.qlen[a.link] == 0 && s.arrCount[a.link] == 1 &&
-			s.fuseForward(a, pf, measuring, sampleLatSum, sampleCount) {
-			continue
-		}
 		s.qpush(a.link, a.vc, a.pkt)
 	}
-}
-
-// fuseForward services a sole-arrival-on-idle-link packet in place of the
-// phase-2/phase-3 scan that would otherwise pick it this cycle. It
-// returns false — leaving all state untouched — unless the occupancy
-// guards prove the outcome identical to phased execution:
-//
-//   - the slot the packet frees must not be the one a same-cycle upstream
-//     space check hinges on (source queue far from full), and
-//   - for network links, the downstream queue must have room no matter how
-//     the cycle's other forwards are ordered (target + pf within depth).
-//
-// Within those guards the phased execution would deterministically pick
-// this packet (only nonempty VC, head of its FIFO) and forward it (space
-// check cannot fail), and no other same-cycle decision can observe the
-// difference in ordering, so state, statistics and RNG streams all match
-// bit-for-bit; the committed goldens and TestFusedForwardDifferential
-// hold the equivalence.
-func (s *Sim) fuseForward(a arrival, pf int32, measuring bool, sampleLatSum, sampleCount *int64) bool {
-	vcIdx := int(a.link)*s.numVC + int(a.vc)
-	if int(s.occVC[vcIdx])+int(pf) > s.cfg.BufDepth {
-		return false
-	}
-	if int(a.link) >= s.numNet+s.numTerm {
-		// Ejection link: phase 2 would pop exactly this packet.
-		s.occ[a.link]--
-		s.occVC[vcIdx]--
-		s.rrVC[a.link] = (a.vc + 1) % int32(s.numVC)
-		s.deliver(a.link, a.pkt, measuring, sampleLatSum, sampleCount)
-		return true
-	}
-	// Network link: phase 3 would forward exactly this packet.
-	p := &s.pkts[a.pkt]
-	nextLink, nextVC := s.nextHopOf(p)
-	if int(s.occVC[int(nextLink)*s.numVC+int(nextVC)])+int(pf) > s.cfg.BufDepth {
-		return false
-	}
-	s.occ[a.link]--
-	s.occVC[vcIdx]--
-	s.rrVC[a.link] = (a.vc + 1) % int32(s.numVC)
-	if s.tel != nil {
-		s.tel.CountForward(a.link)
-	}
-	s.occ[nextLink]++
-	s.occVC[int(nextLink)*s.numVC+int(nextVC)]++
-	p.hop++
-	s.fwdBuf = append(s.fwdBuf, fwdEntry{from: a.link,
-		a: arrival{pkt: a.pkt, link: nextLink, vc: nextVC}})
-	return true
-}
-
-// deliver ejects one packet at its terminal sink: the shared tail of
-// phase 2 and the fused ejection path. The caller has already released the
-// packet's queue slot.
-func (s *Sim) deliver(link, id int32, measuring bool, sampleLatSum, sampleCount *int64) {
-	// Latency includes the ejection channel traversal.
-	lat := s.clock - s.pkts[id].birth + int64(s.cfg.TerminalLatency)
-	h := s.pkts[id].path.Hops()
-	if h > s.maxHops {
-		s.maxHops = h
-	}
-	s.delivered++
-	if s.tel != nil {
-		s.tel.CountForward(link)
-		if measuring {
-			s.tel.ObserveLatency(lat)
-		}
-	}
-	if measuring {
-		s.deliveredMeas++
-		s.latSumMeas += lat
-		s.hopSumMeas += int64(h)
-		bucket := lat
-		if bucket >= int64(len(s.latHist)) {
-			bucket = int64(len(s.latHist)) - 1
-		}
-		s.latHist[bucket]++
-		*sampleLatSum += lat
-		*sampleCount++
-	}
-	s.freePkt(id)
 }
 
 // drainEjections is phase 2: ejection links drain one packet per cycle to
@@ -852,7 +689,32 @@ func (s *Sim) drainEjections(measuring bool, sampleLatSum, sampleCount *int64) {
 				continue
 			}
 			id := s.qpop(link, vc)
-			s.deliver(link, id, measuring, sampleLatSum, sampleCount)
+			// Latency includes the ejection channel traversal.
+			lat := s.clock - s.pkts[id].birth + int64(s.cfg.TerminalLatency)
+			h := s.pkts[id].path.Hops()
+			if h > s.maxHops {
+				s.maxHops = h
+			}
+			s.delivered++
+			if s.tel != nil {
+				s.tel.CountForward(link)
+				if measuring {
+					s.tel.ObserveLatency(lat)
+				}
+			}
+			if measuring {
+				s.deliveredMeas++
+				s.latSumMeas += lat
+				s.hopSumMeas += int64(h)
+				bucket := lat
+				if bucket >= int64(len(s.latHist)) {
+					bucket = int64(len(s.latHist)) - 1
+				}
+				s.latHist[bucket]++
+				*sampleLatSum += lat
+				*sampleCount++
+			}
+			s.freePkt(id)
 		}
 	}
 }
@@ -900,31 +762,11 @@ func (s *Sim) forwardNetwork() {
 				s.occVC[int(nextLink)*s.numVC+int(nextVC)]++
 				p.hop++
 				// The packet now traverses this network channel.
-				s.fwdBuf = append(s.fwdBuf, fwdEntry{from: link,
-					a: arrival{pkt: id, link: nextLink, vc: nextVC}})
+				s.inflight.schedule(s.clock+int64(s.cfg.ChannelLatency),
+					arrival{pkt: id, link: nextLink, vc: nextVC})
 			}
 		}
 	}
-	s.flushForwards()
-}
-
-// flushForwards schedules the cycle's buffered network forwards onto the
-// wheel in ascending forwarding-link order. Each link forwards at most
-// once per cycle, so keys are unique; the phase-3 entries arrive
-// presorted and only the fused prefix needs moving, which the insertion
-// sort exploits.
-func (s *Sim) flushForwards() {
-	buf := s.fwdBuf
-	for i := 1; i < len(buf); i++ {
-		for j := i; j > 0 && buf[j].from < buf[j-1].from; j-- {
-			buf[j], buf[j-1] = buf[j-1], buf[j]
-		}
-	}
-	at := s.clock + int64(s.cfg.ChannelLatency)
-	for i := range buf {
-		s.inflight.schedule(at, buf[i].a)
-	}
-	s.fwdBuf = buf[:0]
 }
 
 // injectSources is phase 4: move the head of each terminal's source queue
@@ -1071,7 +913,8 @@ func (s *Sim) pickVCWide(base int, start, link int32) int32 {
 }
 
 // firstLinkOf returns the first network link (or the ejection link for
-// zero-hop paths) a freshly injected packet enters, with its VC.
+// zero-hop paths) a packet starting its path enters, with its VC: at
+// injection, and again after a fault reroute.
 func (s *Sim) firstLinkOf(p *packet) (int32, int32) {
 	if len(p.links) == 0 {
 		return s.ejLink(p.dstTerm), 0

@@ -1,6 +1,7 @@
 package flitsim
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/graph"
@@ -284,9 +285,13 @@ func TestConfigValidation(t *testing.T) {
 		Mechanism: routing.SP(),
 		Traffic:   traffic.Uniform{N: 2},
 	}
-	bad := ok
-	bad.InjectionRate = 1.5
-	mustPanic(t, func() { New(bad) })
+	for _, rate := range []float64{1.5, -0.1, math.NaN()} {
+		bad := ok
+		bad.InjectionRate = rate
+		if _, err := NewSim(bad); err == nil {
+			t.Errorf("injection rate %v accepted", rate)
+		}
+	}
 	missing := ok
 	missing.Paths = nil
 	mustPanic(t, func() { New(missing) })
