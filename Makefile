@@ -9,7 +9,7 @@
 # Compare two jfbench results files with `make bench-diff BASE=a.json
 # NEW=b.json`: several repetitions, alternating which commit runs first,
 # on an idle machine, before trusting a delta (docs/PERFORMANCE.md).
-.PHONY: check build test bench bench-diff fmt lint race-graph race-faults race-paths race-serve race-serve-v2 race-chaos race-flit-events flit-event-smoke fuzz serve-smoke chaos-smoke docs-check
+.PHONY: check build test bench bench-check bench-diff fmt lint race-graph race-faults race-paths race-serve race-serve-v2 race-chaos race-flit-events flit-event-smoke fuzz serve-smoke chaos-smoke docs-check
 
 check: fmt lint
 	go vet ./...
@@ -25,6 +25,7 @@ check: fmt lint
 	$(MAKE) fuzz
 	$(MAKE) serve-smoke
 	$(MAKE) docs-check
+	$(MAKE) bench-check
 	go build ./...
 
 # gofmt -l prints offending files; fail if it prints anything.
@@ -108,6 +109,12 @@ serve-smoke:
 # gate to run after touching the server's limits or shedding paths.
 chaos-smoke:
 	go test -count=1 -run Chaos -v ./internal/serve/chaos
+
+# internal/bench is its own module (go.mod with `replace repro => ../..`),
+# so `./...` above never compiles it: vet and test it here, so a root API
+# change that breaks jfbench fails the gate instead of the benchmark run.
+bench-check:
+	cd internal/bench && go vet ./... && go test ./...
 
 # Relative links in README.md and docs/*.md must point at real files.
 docs-check:

@@ -31,6 +31,7 @@ import (
 	"repro/internal/exp"
 	"repro/internal/jellyfish"
 	"repro/internal/ksp"
+	"repro/internal/routing"
 	"repro/internal/traffic"
 )
 
@@ -93,7 +94,7 @@ func main() {
 		return
 	}
 
-	mech, err := cliflags.ResolveMechanism(*mechanism)
+	mech, err := routing.ByName(*mechanism)
 	if err != nil {
 		fatal(err)
 	}

@@ -24,6 +24,7 @@ import (
 	"repro/internal/exp"
 	"repro/internal/flitsim"
 	"repro/internal/jellyfish"
+	"repro/internal/routing"
 	"repro/internal/stats"
 )
 
@@ -97,7 +98,7 @@ func main() {
 		}
 		t = res.Table(title)
 	case "latency":
-		mech, err := cliflags.ResolveMechanism(*mechanism)
+		mech, err := routing.ByName(*mechanism)
 		if err != nil {
 			fatal(err)
 		}

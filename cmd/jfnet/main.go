@@ -37,6 +37,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/jellyfish"
 	"repro/internal/ksp"
+	"repro/internal/routing"
 	"repro/internal/stats"
 )
 
@@ -148,7 +149,7 @@ func runTelemetry(dir, topos, selector, mechanism, pattern, faultSpec, faultPoli
 	if err != nil {
 		return err
 	}
-	mech, err := cliflags.ResolveMechanism(mechanism)
+	mech, err := routing.ByName(mechanism)
 	if err != nil {
 		return err
 	}

@@ -8,10 +8,10 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
 	"repro/internal/flitsim"
 	"repro/internal/jellyfish"
 	"repro/internal/ksp"
+	"repro/internal/paths"
 	"repro/internal/routing"
 	"repro/internal/stats"
 	"repro/internal/traffic"
@@ -20,11 +20,11 @@ import (
 
 func main() {
 	params := jellyfish.Params{N: 24, X: 18, Y: 12} // 6 terminals, 12 links per switch
-	net, err := core.NewNetwork(params, core.Options{Selector: ksp.REDKSP, K: 8, Seed: 11})
+	topo, err := jellyfish.New(params, xrand.New(11))
 	if err != nil {
 		log.Fatal(err)
 	}
-	topo := net.Topology()
+	db := paths.NewDB(topo.G, ksp.Config{Alg: ksp.REDKSP, K: 8}, 11)
 	pattern := traffic.RandomShift(topo.NumTerminals(), xrand.New(3))
 	fmt.Printf("topology %v (%d nodes), traffic %s, selector rEDKSP(8)\n\n",
 		params, topo.NumTerminals(), pattern.Name)
@@ -37,11 +37,13 @@ func main() {
 	sat := stats.NewTable("Saturation throughput per mechanism", "Mechanism", "Throughput")
 
 	for _, mech := range mechs {
-		satRate, results := net.SaturationThroughput(core.SimOptions{
+		satRate, results := flitsim.SaturationThroughput(flitsim.Config{
+			Topo:      topo,
+			Paths:     db,
 			Mechanism: mech,
 			Traffic:   traffic.NewFixedSampler(pattern),
 			Seed:      99,
-		}, rates)
+		}, rates, 0)
 		row := []string{mech.Name()}
 		for _, r := range results {
 			if r.Saturated {

@@ -7,56 +7,61 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
+	"repro/internal/flitsim"
 	"repro/internal/jellyfish"
 	"repro/internal/ksp"
+	"repro/internal/model"
+	"repro/internal/paths"
 	"repro/internal/routing"
 	"repro/internal/traffic"
 	"repro/internal/xrand"
 )
 
 func main() {
+	const seed = 42
 	// A small Jellyfish: 36 switches with 24 ports each, 16 of which
 	// connect to other switches — the paper's RRG(36,24,16), 288 compute
 	// nodes.
-	net, err := core.NewNetwork(jellyfish.Small, core.Options{
-		Selector: ksp.REDKSP, // randomized edge-disjoint KSP, the paper's best
-		K:        8,
-		Seed:     42,
-	})
+	topo, err := jellyfish.New(jellyfish.Small, xrand.New(seed))
 	if err != nil {
 		log.Fatal(err)
 	}
-	topo := net.Topology()
 	fmt.Printf("built %v: %d switches, %d compute nodes, %d links\n",
 		topo.Params(), topo.N, topo.NumTerminals(), topo.G.NumEdges())
 
+	// rEDKSP (randomized edge-disjoint KSP, the paper's best) with k = 8
+	// paths per switch pair, computed lazily on first use.
+	db := paths.NewDB(topo.G, ksp.Config{Alg: ksp.REDKSP, K: 8}, seed)
+
 	// The k paths between two compute nodes (resolved to their switches).
-	paths := net.TerminalPaths(0, 250)
-	fmt.Printf("\n%d candidate paths from node 0 to node 250:\n", len(paths))
-	for i, p := range paths {
+	ps := db.Paths(topo.SwitchOf(0), topo.SwitchOf(250))
+	fmt.Printf("\n%d candidate paths from node 0 to node 250:\n", len(ps))
+	for i, p := range ps {
 		fmt.Printf("  path %d (%d hops): %v\n", i, p.Hops(), p)
 	}
 
 	// Path quality: with rEDKSP every pair's paths are link-disjoint.
-	q := net.PathQuality(0)
+	q := paths.Analyze(topo.G, db.Config(), seed, paths.AllOrderedPairs(topo.N), 0)
 	fmt.Printf("\npath quality over %d pairs: avg length %.2f, %.0f%% disjoint pairs, max link sharing %d\n",
 		q.Pairs, q.AvgLen, 100*q.DisjointFraction, q.MaxShare)
 
 	// Throughput model (Equation 1) for a random permutation.
 	pat := traffic.RandomPermutation(topo.NumTerminals(), xrand.New(7))
-	r := net.ModelThroughput(pat)
-	sp := net.ModelThroughputSinglePath(pat)
+	r := model.Throughput(topo, db, pat, 0)
+	sp := model.SinglePath(topo, db, pat, 0)
 	fmt.Printf("\nmodel throughput (permutation): multi-path %.3f vs single-path %.3f\n",
 		r.MeanNode, sp.MeanNode)
 
 	// A short cycle-level simulation with the paper's KSP-adaptive
-	// routing mechanism at 40%% offered load.
-	res := net.Simulate(core.SimOptions{
+	// routing mechanism at 40% offered load.
+	res := flitsim.New(flitsim.Config{
+		Topo:          topo,
+		Paths:         db,
 		Mechanism:     routing.KSPAdaptive(),
 		Traffic:       traffic.NewFixedSampler(pat),
 		InjectionRate: 0.4,
-	})
+		Seed:          seed,
+	}).Run()
 	fmt.Printf("\nsimulation at 0.40 load: avg packet latency %.1f cycles, delivered rate %.3f, saturated=%v\n",
 		res.AvgLatency, res.DeliveredRate, res.Saturated)
 }

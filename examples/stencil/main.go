@@ -10,10 +10,12 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
+	"repro/internal/appsim"
 	"repro/internal/dumpi"
 	"repro/internal/jellyfish"
 	"repro/internal/ksp"
+	"repro/internal/paths"
+	"repro/internal/routing"
 	"repro/internal/stats"
 	"repro/internal/traffic"
 	"repro/internal/xrand"
@@ -26,15 +28,15 @@ func main() {
 	// point.
 	const bytesPerRank = 1_500_000
 
-	nets := map[ksp.Algorithm]*core.Network{}
-	for _, alg := range []ksp.Algorithm{ksp.REDKSP, ksp.KSP, ksp.RKSP} {
-		n, err := core.NewNetwork(params, core.Options{Selector: alg, K: 8, Seed: 7})
-		if err != nil {
-			log.Fatal(err)
-		}
-		nets[alg] = n
+	topo, err := jellyfish.New(params, xrand.New(7))
+	if err != nil {
+		log.Fatal(err)
 	}
-	nTerms := nets[ksp.KSP].Topology().NumTerminals()
+	dbs := map[ksp.Algorithm]*paths.DB{}
+	for _, alg := range []ksp.Algorithm{ksp.REDKSP, ksp.KSP, ksp.RKSP} {
+		dbs[alg] = paths.NewDB(topo.G, ksp.Config{Alg: alg, K: 8}, 7)
+	}
+	nTerms := topo.NumTerminals()
 
 	for _, mapping := range []string{"linear", "random"} {
 		table := stats.NewTable(
@@ -42,8 +44,8 @@ func main() {
 				mapping, params, bytesPerRank),
 			"Application", "rEDKSP(8)", "KSP(8)", "imp.", "rKSP(8)", "imp.")
 		for _, kind := range traffic.StencilKinds {
-			// Traces round-trip through the DUMPI-style serializer to show
-			// the full pipeline the paper used.
+			// A synthetic DUMPI-style trace (the stand-in for the paper's
+			// SST/DUMPI captures), reduced to rank-level sized sends.
 			trace := dumpi.Generate(kind, nTerms, bytesPerRank)
 			w := trace.Workload()
 
@@ -56,8 +58,14 @@ func main() {
 			flows := w.Apply(m)
 
 			times := map[ksp.Algorithm]float64{}
-			for alg, net := range nets {
-				res, err := net.ReplayWorkload(flows, core.AppOptions{Seed: 21})
+			for alg, db := range dbs {
+				res, err := appsim.Run(appsim.Config{
+					Topo:      topo,
+					Paths:     db,
+					Mechanism: routing.KSPAdaptive(),
+					Flows:     flows,
+					Seed:      21,
+				})
 				if err != nil {
 					log.Fatal(err)
 				}

@@ -3,11 +3,13 @@ package repro
 import (
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/appsim"
 	"repro/internal/fairshare"
 	"repro/internal/flitsim"
 	"repro/internal/jellyfish"
 	"repro/internal/ksp"
+	"repro/internal/model"
+	"repro/internal/paths"
 	"repro/internal/routing"
 	"repro/internal/traffic"
 	"repro/internal/xrand"
@@ -22,15 +24,15 @@ func TestEndToEndPipeline(t *testing.T) {
 	params := jellyfish.Params{N: 16, X: 9, Y: 6}
 	const k, seed = 4, 2026
 
-	nets := map[ksp.Algorithm]*core.Network{}
-	for _, alg := range []ksp.Algorithm{ksp.KSP, ksp.REDKSP} {
-		n, err := core.NewNetwork(params, core.Options{Selector: alg, K: k, Seed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nets[alg] = n
+	topo, err := jellyfish.New(params, xrand.New(seed))
+	if err != nil {
+		t.Fatal(err)
 	}
-	nTerms := nets[ksp.KSP].Topology().NumTerminals()
+	dbs := map[ksp.Algorithm]*paths.DB{}
+	for _, alg := range []ksp.Algorithm{ksp.KSP, ksp.REDKSP} {
+		dbs[alg] = paths.NewDB(topo.G, ksp.Config{Alg: alg, K: k}, seed)
+	}
+	nTerms := topo.NumTerminals()
 
 	// Average the comparison over several shift patterns to avoid
 	// single-instance noise.
@@ -39,13 +41,13 @@ func TestEndToEndPipeline(t *testing.T) {
 	const rounds = 5
 	for i := 0; i < rounds; i++ {
 		pat := traffic.RandomShift(nTerms, rng)
-		modelK += nets[ksp.KSP].ModelThroughput(pat).MeanNode
-		modelR += nets[ksp.REDKSP].ModelThroughput(pat).MeanNode
-		aK, err := fairshare.Compute(nets[ksp.KSP].Topology(), nets[ksp.KSP].PathDB(), pat)
+		modelK += model.Throughput(topo, dbs[ksp.KSP], pat, 0).MeanNode
+		modelR += model.Throughput(topo, dbs[ksp.REDKSP], pat, 0).MeanNode
+		aK, err := fairshare.Compute(topo, dbs[ksp.KSP], pat)
 		if err != nil {
 			t.Fatal(err)
 		}
-		aR, err := fairshare.Compute(nets[ksp.REDKSP].Topology(), nets[ksp.REDKSP].PathDB(), pat)
+		aR, err := fairshare.Compute(topo, dbs[ksp.REDKSP], pat)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,15 +65,17 @@ func TestEndToEndPipeline(t *testing.T) {
 	// KSP-adaptive must deliver at least as much as vanilla KSP and not
 	// saturate earlier.
 	pat := traffic.RandomShift(nTerms, xrand.New(11))
-	simOf := func(n *core.Network) flitsim.Result {
-		return n.Simulate(core.SimOptions{
+	simOf := func(db *paths.DB) flitsim.Result {
+		return flitsim.New(flitsim.Config{
+			Topo:          topo,
+			Paths:         db,
 			Mechanism:     routing.KSPAdaptive(),
 			Traffic:       traffic.NewFixedSampler(pat),
 			InjectionRate: 0.35,
 			Seed:          5,
-		})
+		}).Run()
 	}
-	resK, resR := simOf(nets[ksp.KSP]), simOf(nets[ksp.REDKSP])
+	resK, resR := simOf(dbs[ksp.KSP]), simOf(dbs[ksp.REDKSP])
 	if resR.Saturated && !resK.Saturated {
 		t.Fatalf("rEDKSP saturated where KSP did not (lat %v vs %v)",
 			resR.SampleLatencies, resK.SampleLatencies)
@@ -86,14 +90,20 @@ func TestEndToEndPipeline(t *testing.T) {
 		Kind: traffic.Stencil2DNNDiag, Ranks: nTerms, TotalBytes: 150 * 1500,
 	})
 	flows := w.Apply(traffic.LinearMapping(nTerms))
-	appK, err := nets[ksp.KSP].ReplayWorkload(flows, core.AppOptions{Seed: 9})
-	if err != nil {
-		t.Fatal(err)
+	appOf := func(db *paths.DB) appsim.Result {
+		res, err := appsim.Run(appsim.Config{
+			Topo:      topo,
+			Paths:     db,
+			Mechanism: routing.KSPAdaptive(),
+			Flows:     flows,
+			Seed:      9,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	appR, err := nets[ksp.REDKSP].ReplayWorkload(flows, core.AppOptions{Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
+	appK, appR := appOf(dbs[ksp.KSP]), appOf(dbs[ksp.REDKSP])
 	if appR.Cycles > appK.Cycles*11/10 {
 		t.Fatalf("rEDKSP stencil %d cycles, KSP %d", appR.Cycles, appK.Cycles)
 	}
@@ -104,17 +114,21 @@ func TestEndToEndPipeline(t *testing.T) {
 func TestSeedReproducibility(t *testing.T) {
 	params := jellyfish.Params{N: 12, X: 9, Y: 6}
 	build := func() (float64, float64) {
-		n, err := core.NewNetwork(params, core.Options{Selector: ksp.REDKSP, K: 4, Seed: 99})
+		topo, err := jellyfish.New(params, xrand.New(99))
 		if err != nil {
 			t.Fatal(err)
 		}
-		pat := traffic.RandomShift(n.Topology().NumTerminals(), xrand.New(3))
-		m := n.ModelThroughput(pat)
-		s := n.Simulate(core.SimOptions{
+		db := paths.NewDB(topo.G, ksp.Config{Alg: ksp.REDKSP, K: 4}, 99)
+		pat := traffic.RandomShift(topo.NumTerminals(), xrand.New(3))
+		m := model.Throughput(topo, db, pat, 0)
+		s := flitsim.New(flitsim.Config{
+			Topo:          topo,
+			Paths:         db,
+			Mechanism:     routing.KSPAdaptive(),
 			Traffic:       traffic.NewFixedSampler(pat),
 			InjectionRate: 0.3,
 			Seed:          4,
-		})
+		}).Run()
 		return m.MeanNode, s.AvgLatency
 	}
 	m1, l1 := build()

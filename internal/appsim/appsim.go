@@ -146,20 +146,6 @@ type Result struct {
 	FaultEvents int64
 }
 
-// FlowCompletionSeconds converts a completion cycle to seconds under the
-// config's packet transmission time.
-func FlowCompletionSeconds(cfg Config, cycles int64) float64 {
-	pb := cfg.PacketBytes
-	if pb == 0 {
-		pb = DefaultPacketBytes
-	}
-	bw := cfg.LinkBandwidth
-	if bw == 0 {
-		bw = DefaultLinkBandwidth
-	}
-	return float64(cycles) * float64(pb) / bw
-}
-
 // flowState tracks one flow's remaining packets at its source.
 type flowState struct {
 	dstTerm int32

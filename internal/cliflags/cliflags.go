@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"repro/internal/graph"
-	"repro/internal/routing"
 )
 
 // Mechanism registers the shared -mechanism flag with the given default
@@ -27,13 +26,6 @@ import (
 func Mechanism(def string) *string {
 	return flag.String("mechanism", def,
 		"routing mechanism: sp, random, round-robin, ugal, ksp-ugal or ksp-adaptive")
-}
-
-// ResolveMechanism parses a -mechanism value through routing.ByName, so
-// every binary accepts the same name set and emits the same error
-// listing the valid names.
-func ResolveMechanism(name string) (routing.Mechanism, error) {
-	return routing.ByName(name)
 }
 
 // Telemetry is the flag pair behind instrumented single runs.

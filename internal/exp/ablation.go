@@ -34,7 +34,10 @@ type KSweepResult struct {
 // pattern). It quantifies the paper's observation that the heuristics
 // matter more as path diversity grows.
 func AblationKSweep(params jellyfish.Params, ks []int, sc Scale) (*KSweepResult, error) {
-	sc = sc.withDefaults()
+	sc, err := sc.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	res := &KSweepResult{
 		Params:    params,
 		Pattern:   "shift",
@@ -84,7 +87,10 @@ type BiasSweepResult struct {
 // "no bias towards MIN or VLB" configuration at bias 0 and quantifying
 // what other biases would have done.
 func AblationUGALBias(params jellyfish.Params, biases []int, rates []float64, sc Scale) (*BiasSweepResult, error) {
-	sc = sc.withDefaults()
+	sc, err := sc.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	if len(rates) == 0 {
 		rates = flitsim.Rates(0.1, 1.0, 0.1)
 	}
@@ -153,7 +159,10 @@ type LoadImbalanceResult struct {
 // pattern's sub-flows land on the links — the quantity the paper's
 // Section III argues about qualitatively.
 func LoadImbalance(params jellyfish.Params, sc Scale) (*LoadImbalanceResult, error) {
-	sc = sc.withDefaults()
+	sc, err := sc.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	topo, err := sc.buildTopo(params, 0)
 	if err != nil {
 		return nil, err

@@ -52,7 +52,10 @@ type AppResult struct {
 // PatternSamples mapping instances (mapping instances only matter for
 // random mapping).
 func AppCommTimes(cfg AppConfig, sc Scale) (*AppResult, error) {
-	sc = sc.withDefaults()
+	sc, err := sc.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	if cfg.BytesPerRank == 0 {
 		cfg.BytesPerRank = traffic.DefaultTotalBytes
 	}

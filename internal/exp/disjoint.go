@@ -30,7 +30,10 @@ type DisjointExistenceResult struct {
 // DisjointExistence runs the verification. With Scale.PairSample == 0 all
 // ordered pairs are checked (use sampling on the large topology).
 func DisjointExistence(params jellyfish.Params, ks []int, sc Scale) (*DisjointExistenceResult, error) {
-	sc = sc.withDefaults()
+	sc, err := sc.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	topo, err := sc.buildTopo(params, 0)
 	if err != nil {
 		return nil, err

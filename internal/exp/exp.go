@@ -51,22 +51,17 @@ type Scale struct {
 	EventDriven bool
 }
 
-// PaperModelScale is the paper's protocol for the throughput-model figures.
-func PaperModelScale() Scale {
-	return Scale{TopoSamples: 10, PatternSamples: 50, K: 8, Seed: 1}
-}
-
-// PaperSimScale is the paper's protocol for the Booksim figures.
-func PaperSimScale() Scale {
-	return Scale{TopoSamples: 1, PatternSamples: 10, K: 8, Seed: 1}
-}
-
-// QuickScale is a cheap setting for smoke runs.
-func QuickScale() Scale {
-	return Scale{TopoSamples: 2, PatternSamples: 3, K: 4, Seed: 1}
-}
-
-func (sc Scale) withDefaults() Scale {
+// withDefaults rejects negative sample counts and fills the zero-valued
+// fields. Every experiment entry point runs it first.
+func (sc Scale) withDefaults() (Scale, error) {
+	switch {
+	case sc.TopoSamples < 0:
+		return sc, fmt.Errorf("exp: topology samples %d out of range (want >= 0)", sc.TopoSamples)
+	case sc.PatternSamples < 0:
+		return sc, fmt.Errorf("exp: pattern samples %d out of range (want >= 0)", sc.PatternSamples)
+	case sc.PairSample < 0:
+		return sc, fmt.Errorf("exp: pair sample %d out of range (want >= 0)", sc.PairSample)
+	}
 	if sc.TopoSamples == 0 {
 		sc.TopoSamples = 1
 	}
@@ -79,7 +74,7 @@ func (sc Scale) withDefaults() Scale {
 	if sc.Seed == 0 {
 		sc.Seed = 1
 	}
-	return sc
+	return sc, nil
 }
 
 // topoSeed derives the RNG for the i-th topology sample (the shared
@@ -145,7 +140,10 @@ func (sc Scale) pathDBPairs(topo *jellyfish.Topology, alg ksp.Algorithm, ti int,
 // Dijkstra storms — the intended workflow for the large topology, where
 // the build dominates wall time (see docs/PATHS.md).
 func WarmPathCache(paramsList []jellyfish.Params, algs []ksp.Algorithm, sc Scale) error {
-	sc = sc.withDefaults()
+	sc, err := sc.withDefaults()
+	if err != nil {
+		return err
+	}
 	if sc.PathCache == "" {
 		return fmt.Errorf("exp: WarmPathCache needs a cache directory")
 	}

@@ -19,6 +19,68 @@ func tinyScale() Scale {
 	return Scale{TopoSamples: 1, PatternSamples: 2, K: 4, Seed: 3, Workers: 4}
 }
 
+// TestNegativeSampleCountsRejected checks that every experiment entry
+// point refuses a negative sample count with a range error, instead of
+// panicking, analyzing all pairs or averaging over no samples.
+func TestNegativeSampleCountsRejected(t *testing.T) {
+	ps := []jellyfish.Params{tiny}
+	algs := []ksp.Algorithm{ksp.KSP}
+	flit := FlitConfig{Params: tiny, Pattern: "shift", Rates: []float64{0.1}}
+	entries := []struct {
+		name string
+		run  func(Scale) error
+	}{
+		{"TableI", func(sc Scale) error { _, err := TableI(ps, sc); return err }},
+		{"PathProps", func(sc Scale) error { _, err := PathProps(ps, algs, sc); return err }},
+		{"DisjointExistence", func(sc Scale) error { _, err := DisjointExistence(tiny, []int{2}, sc); return err }},
+		{"ScalingStudy", func(sc Scale) error { _, err := ScalingStudy(ps, sc); return err }},
+		{"WarmPathCache", func(sc Scale) error { sc.PathCache = t.TempDir(); return WarmPathCache(ps, algs, sc) }},
+		{"ModelThroughput", func(sc Scale) error {
+			_, err := ModelThroughput(ModelConfig{Params: tiny, Patterns: []string{"shift"}}, sc)
+			return err
+		}},
+		{"ValidateModel", func(sc Scale) error { _, err := ValidateModel(tiny, sc); return err }},
+		{"FlitSaturation", func(sc Scale) error { _, err := FlitSaturation(flit, sc); return err }},
+		{"FlitLatencyCurve", func(sc Scale) error { _, err := FlitLatencyCurve(flit, routing.KSPAdaptive(), sc); return err }},
+		{"AppCommTimes", func(sc Scale) error {
+			_, err := AppCommTimes(AppConfig{Params: tiny, Mapping: "linear", BytesPerRank: 1500}, sc)
+			return err
+		}},
+		{"FaultResilience", func(sc Scale) error { _, err := FaultResilience(tiny, []int{0}, sc); return err }},
+		{"FaultRun", func(sc Scale) error {
+			_, err := FaultRun(FaultRunConfig{Params: tiny, FailedLinks: []int{0}}, sc)
+			return err
+		}},
+		{"AblationKSweep", func(sc Scale) error { _, err := AblationKSweep(tiny, []int{2}, sc); return err }},
+		{"AblationUGALBias", func(sc Scale) error { _, err := AblationUGALBias(tiny, []int{0}, []float64{0.1}, sc); return err }},
+		{"LoadImbalance", func(sc Scale) error { _, err := LoadImbalance(tiny, sc); return err }},
+		{"FlitTelemetryRun", func(sc Scale) error {
+			_, _, _, err := FlitTelemetryRun(FlitTelemetryConfig{Params: tiny, Pattern: "shift", Rate: 0.1}, sc)
+			return err
+		}},
+		{"AppTelemetryRun", func(sc Scale) error {
+			_, _, _, err := AppTelemetryRun(AppTelemetryConfig{Params: tiny, Mapping: "linear", BytesPerRank: 1500}, sc)
+			return err
+		}},
+	}
+	for _, bad := range []struct {
+		field string
+		sc    Scale
+	}{
+		{"TopoSamples", Scale{TopoSamples: -1}},
+		{"PatternSamples", Scale{PatternSamples: -2}},
+		{"PairSample", Scale{PairSample: -5}},
+	} {
+		for _, e := range entries {
+			t.Run(e.name+"/"+bad.field, func(t *testing.T) {
+				if err := e.run(bad.sc); err == nil || !strings.Contains(err.Error(), "out of range") {
+					t.Fatalf("err = %v, want a range error", err)
+				}
+			})
+		}
+	}
+}
+
 func TestTableI(t *testing.T) {
 	rows, err := TableI([]jellyfish.Params{tiny}, tinyScale())
 	if err != nil {

@@ -40,7 +40,10 @@ type FaultResilienceResult struct {
 // sampled with Scale.PairSample (0 = all ordered pairs); trials =
 // Scale.PatternSamples random failure sets per failure count.
 func FaultResilience(params jellyfish.Params, failedLinks []int, sc Scale) (*FaultResilienceResult, error) {
-	sc = sc.withDefaults()
+	sc, err := sc.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	topo, err := sc.buildTopo(params, 0)
 	if err != nil {
 		return nil, err
@@ -219,7 +222,10 @@ type FaultRunResult struct {
 // are directly comparable.
 func FaultRun(cfg FaultRunConfig, sc Scale) (*FaultRunResult, error) {
 	cfg = cfg.withDefaults()
-	sc = sc.withDefaults()
+	sc, err := sc.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	mechs := routing.Mechanisms()
 	res := &FaultRunResult{
 		Config:      cfg,

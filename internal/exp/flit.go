@@ -63,7 +63,10 @@ type SaturationResult struct {
 // throughput of every path selector under every routing mechanism.
 func FlitSaturation(cfg FlitConfig, sc Scale) (*SaturationResult, error) {
 	cfg = cfg.withDefaults()
-	sc = sc.withDefaults()
+	sc, err := sc.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	mechs := routing.Mechanisms()
 	res := &SaturationResult{Config: cfg, Selectors: SelectorNames(false)}
 	for _, m := range mechs {
@@ -202,7 +205,10 @@ type CurveResult struct {
 // curves for all four selectors under one routing mechanism.
 func FlitLatencyCurve(cfg FlitConfig, mech routing.Mechanism, sc Scale) (*CurveResult, error) {
 	cfg = cfg.withDefaults()
-	sc = sc.withDefaults()
+	sc, err := sc.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	res := &CurveResult{
 		Config:    cfg,
 		Mechanism: mech.Name(),

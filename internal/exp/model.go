@@ -39,7 +39,10 @@ type ModelFigureResult struct {
 // throughput over TopoSamples topology instances and PatternSamples
 // traffic instances for every path selection scheme.
 func ModelThroughput(cfg ModelConfig, sc Scale) (*ModelFigureResult, error) {
-	sc = sc.withDefaults()
+	sc, err := sc.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	if cfg.RandomX == 0 {
 		cfg.RandomX = 50
 	}

@@ -23,7 +23,10 @@ type ScalingRow struct {
 // (Yuan et al. SC'13) that frames the paper. Each row gets TopoSamples
 // instances and PatternSamples permutations.
 func ScalingStudy(paramsList []jellyfish.Params, sc Scale) ([]ScalingRow, error) {
-	sc = sc.withDefaults()
+	sc, err := sc.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	rows := make([]ScalingRow, 0, len(paramsList))
 	for _, p := range paramsList {
 		metrics, err := TableI([]jellyfish.Params{p}, sc)

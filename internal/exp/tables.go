@@ -22,7 +22,10 @@ type TopoMetricsRow struct {
 // TableI computes the topology metrics of the paper's Table I, averaged
 // over Scale.TopoSamples instances.
 func TableI(paramsList []jellyfish.Params, sc Scale) ([]TopoMetricsRow, error) {
-	sc = sc.withDefaults()
+	sc, err := sc.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	rows := make([]TopoMetricsRow, 0, len(paramsList))
 	for _, p := range paramsList {
 		var avg float64
@@ -79,7 +82,10 @@ type PathPropsResult struct {
 // Scale.PairSample > 0 a uniform pair sample is analyzed instead of all
 // ordered pairs.
 func PathProps(paramsList []jellyfish.Params, algs []ksp.Algorithm, sc Scale) (*PathPropsResult, error) {
-	sc = sc.withDefaults()
+	sc, err := sc.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	res := &PathPropsResult{Params: paramsList, Algs: algs, K: sc.K}
 	for _, p := range paramsList {
 		row := make([]paths.Quality, len(algs))

@@ -46,8 +46,11 @@ type FlitTelemetryConfig struct {
 // same instance the figures did). It returns the run's Result, the
 // populated collector, and a manifest describing the configuration.
 func FlitTelemetryRun(cfg FlitTelemetryConfig, sc Scale) (flitsim.Result, *telemetry.Collector, telemetry.Manifest, error) {
-	sc = sc.withDefaults()
 	var zero flitsim.Result
+	sc, err := sc.withDefaults()
+	if err != nil {
+		return zero, nil, telemetry.Manifest{}, err
+	}
 	if !(cfg.Rate > 0 && cfg.Rate <= 1) { // NaN fails too
 		return zero, nil, telemetry.Manifest{}, fmt.Errorf("exp: injection rate %v outside (0, 1]", cfg.Rate)
 	}
@@ -133,8 +136,11 @@ type AppTelemetryConfig struct {
 // deriving topology, paths and mapping exactly as AppCommTimes does for
 // its first sample.
 func AppTelemetryRun(cfg AppTelemetryConfig, sc Scale) (appsim.Result, *telemetry.Collector, telemetry.Manifest, error) {
-	sc = sc.withDefaults()
 	var zero appsim.Result
+	sc, err := sc.withDefaults()
+	if err != nil {
+		return zero, nil, telemetry.Manifest{}, err
+	}
 	if cfg.Mechanism == nil {
 		cfg.Mechanism = routing.KSPAdaptive()
 	}

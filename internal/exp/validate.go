@@ -29,7 +29,10 @@ type ModelValidationResult struct {
 // ValidateModel runs both methodologies on PatternSamples random shift
 // instances over one topology sample.
 func ValidateModel(params jellyfish.Params, sc Scale) (*ModelValidationResult, error) {
-	sc = sc.withDefaults()
+	sc, err := sc.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	topo, err := sc.buildTopo(params, 0)
 	if err != nil {
 		return nil, err

@@ -51,6 +51,11 @@ const (
 
 	// maxAlgNameLen bounds the selector-name field.
 	maxAlgNameLen = 64
+	// maxPathsPerPair bounds the k a cache file may declare. No selector
+	// produces more than k paths per pair and practical k is a few
+	// dozen; the bound keeps corrupted or hostile files from making the
+	// loader allocate unbounded memory from a tiny input.
+	maxPathsPerPair = 1 << 16
 	// growChunk caps how far ahead of the consumed input the loader's
 	// slices may be grown.
 	growChunk = 1 << 16

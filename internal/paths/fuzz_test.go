@@ -22,61 +22,18 @@ var fuzzGraphOnce = sync.OnceValue(func() *graph.Graph {
 })
 
 // fuzzSeedDB is a small deterministic DB used to derive valid seed
-// inputs for both fuzz targets.
+// inputs for the fuzz target.
 func fuzzSeedDB() *DB {
 	g := fuzzGraphOnce()
 	return Build(g, ksp.Config{Alg: ksp.REDKSP, K: 3}, 17,
 		[]Pair{{0, 1}, {0, 5}, {3, 7}, {11, 2}}, 1)
 }
 
-// FuzzPathsRead hammers the line-oriented archive reader: whatever the
-// bytes, Read must either load a DB or return an error — never panic,
-// and never allocate proportionally to a declared (rather than actual)
-// size. A successfully loaded DB must survive a Write/Read round trip
-// byte-identically.
-func FuzzPathsRead(f *testing.F) {
-	db := fuzzSeedDB()
-	var valid bytes.Buffer
-	if err := db.Write(&valid); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(valid.Bytes())
-	f.Add([]byte("PATHDB 1\nconfig rEDKSP 3 17\n"))
-	f.Add([]byte("PATHDB 1\nconfig rEDKSP 3 17\npair 0 1 1\npath 0 1\n"))
-	f.Add([]byte("PATHDB 1\nconfig rEDKSP 3 17\npair 0 1 2000000000\n"))
-	f.Add([]byte("PATHDB 1\nconfig KSP 4 1\npair 0 1 1\npath -1 99999999999\n"))
-	f.Add([]byte("PATHDB 2\nconfig KSP 4 1\n"))
-	f.Add(valid.Bytes()[:valid.Len()/2])
-	f.Add([]byte("NOPE\n"))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		g := fuzzGraphOnce()
-		got, err := Read(bytes.NewReader(data), g)
-		if err != nil {
-			return
-		}
-		var out bytes.Buffer
-		if werr := got.Write(&out); werr != nil {
-			t.Fatalf("Write after successful Read failed: %v", werr)
-		}
-		again, rerr := Read(bytes.NewReader(out.Bytes()), g)
-		if rerr != nil {
-			t.Fatalf("re-Read of Write output failed: %v", rerr)
-		}
-		var out2 bytes.Buffer
-		if werr := again.Write(&out2); werr != nil {
-			t.Fatal(werr)
-		}
-		if !bytes.Equal(out.Bytes(), out2.Bytes()) {
-			t.Fatal("Write/Read round trip is not a fixed point")
-		}
-	})
-}
-
-// FuzzCacheRead is FuzzPathsRead for the binary cache loader: corrupted,
-// truncated, version-skewed and checksum-flipped inputs must all return
-// errors without panicking or over-allocating, and accepted inputs must
-// re-serialize byte-identically.
+// FuzzCacheRead hammers the binary cache loader: whatever the bytes,
+// ReadCache must either load a DB or return an error — never panic, and
+// never allocate proportionally to a declared (rather than actual) size.
+// Corrupted, truncated, version-skewed and checksum-flipped inputs must
+// be rejected, and accepted inputs must re-serialize byte-identically.
 func FuzzCacheRead(f *testing.F) {
 	db := fuzzSeedDB()
 	g := fuzzGraphOnce()

@@ -75,7 +75,7 @@ func TestGoldenFixturesUpToDate(t *testing.T) {
 		t.Fatalf("%v (run with -update-golden to generate)", err)
 	}
 	if !bytes.Equal(text.Bytes(), wantText) {
-		t.Error("text archive bytes drifted from the committed fixture")
+		t.Error("text dump bytes drifted from the committed fixture")
 	}
 	wantBin, err := os.ReadFile(goldenCacheFixture)
 	if err != nil {
@@ -83,28 +83,6 @@ func TestGoldenFixturesUpToDate(t *testing.T) {
 	}
 	if !bytes.Equal(bin.Bytes(), wantBin) {
 		t.Error("cache bytes drifted from the committed fixture")
-	}
-}
-
-// TestGoldenTextFixtureLoads asserts this reader still loads archives
-// written by the version that generated the committed fixture, and that
-// the loaded DB reproduces the committed bytes exactly.
-func TestGoldenTextFixtureLoads(t *testing.T) {
-	g := goldenGraph(t)
-	raw, err := os.ReadFile(goldenTextFixture)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := Read(bytes.NewReader(raw), g)
-	if err != nil {
-		t.Fatalf("committed text fixture no longer loads: %v", err)
-	}
-	var out bytes.Buffer
-	if err := db.Write(&out); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out.Bytes(), raw) {
-		t.Fatal("loaded fixture does not re-serialize byte-identically")
 	}
 }
 

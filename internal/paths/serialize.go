@@ -5,18 +5,9 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"strconv"
-	"strings"
 
 	"repro/internal/graph"
-	"repro/internal/ksp"
 )
-
-// maxPathsPerPair bounds the per-pair path count a serialized input may
-// declare. No selector produces more than K paths and practical K is a
-// few dozen; the bound exists so corrupted or hostile inputs cannot make
-// the readers allocate unbounded memory from a tiny file.
-const maxPathsPerPair = 1 << 16
 
 // forEachSorted calls fn for every stored pair in ascending
 // (src, dst) key order, merging the packed store with the lazy fills.
@@ -61,9 +52,8 @@ func (db *DB) forEachSortedLocked(fn func(key uint64, ps []graph.Path) error) er
 	return nil
 }
 
-// Write serializes the DB's currently stored path sets in a line-oriented
-// format, so an expensive all-pairs computation (minutes on the medium
-// topology, hours on the large one) can be archived and reloaded:
+// Write dumps the DB's currently stored path sets as canonical text, for
+// comparing two DBs byte for byte (and reading one by eye):
 //
 //	PATHDB 1
 //	config <alg> <k> <seed>
@@ -72,10 +62,11 @@ func (db *DB) forEachSortedLocked(fn func(key uint64, ps []graph.Path) error) er
 //	...
 //
 // Pairs are emitted in ascending (src, dst) order, so two DBs holding the
-// same path sets serialize byte-identically regardless of how they were
-// filled (eager builds at any worker count, cache loads, lazy fills in
-// any order). For the compact binary format used by the on-disk cache see
-// WriteCache.
+// same path sets dump byte-identically regardless of how they were filled
+// (eager builds at any worker count, cache loads, lazy fills in any
+// order). The dump is not meant to be reloaded: to archive a computed DB
+// and load it back, use the binary cache (WriteCache, ReadCache,
+// LoadOrBuild).
 func (db *DB) Write(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	if _, err := fmt.Fprintf(bw, "PATHDB 1\nconfig %s %d %d\n",
@@ -101,148 +92,4 @@ func (db *DB) Write(w io.Writer) error {
 		return err
 	}
 	return bw.Flush()
-}
-
-// Read loads a DB written by Write onto graph g, validating every path
-// against the graph and packing the result into the DB's CSR store. The
-// DB's config (selector, k, seed) is restored, so lazily computed
-// additions remain consistent with the original. Malformed input of any
-// kind — truncation, unknown records, invalid paths, absurd counts —
-// returns an error; Read never panics on bad input.
-func Read(r io.Reader, g *graph.Graph) (*DB, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 256*1024*1024)
-	line := 0
-	next := func() (string, bool) {
-		for sc.Scan() {
-			line++
-			s := strings.TrimSpace(sc.Text())
-			if s != "" {
-				return s, true
-			}
-		}
-		return "", false
-	}
-	hdr, ok := next()
-	if !ok || hdr != "PATHDB 1" {
-		return nil, fmt.Errorf("paths: bad header %q", hdr)
-	}
-	cfgLine, ok := next()
-	if !ok || !strings.HasPrefix(cfgLine, "config ") {
-		return nil, fmt.Errorf("paths: missing config line")
-	}
-	fields := strings.Fields(cfgLine)
-	if len(fields) != 4 {
-		return nil, fmt.Errorf("paths: bad config line %q", cfgLine)
-	}
-	alg, err := ksp.ByName(fields[1])
-	if err != nil {
-		return nil, err
-	}
-	k, err := strconv.Atoi(fields[2])
-	if err != nil {
-		return nil, fmt.Errorf("paths: bad k: %v", err)
-	}
-	if k < 1 || k > maxPathsPerPair {
-		return nil, fmt.Errorf("paths: k %d out of range [1, %d]", k, maxPathsPerPair)
-	}
-	seed, err := strconv.ParseUint(fields[3], 10, 64)
-	if err != nil {
-		return nil, fmt.Errorf("paths: bad seed: %v", err)
-	}
-	db := NewDB(g, ksp.Config{Alg: alg, K: k}, seed)
-
-	var keys []uint64
-	var results [][]graph.Path
-	seen := make(map[uint64]struct{})
-	var curSrc, curDst graph.NodeID
-	var want int
-	var cur []graph.Path
-	started := false
-	flush := func() error {
-		if !started {
-			return nil
-		}
-		if len(cur) != want {
-			return fmt.Errorf("paths: pair %d->%d has %d paths, header said %d",
-				curSrc, curDst, len(cur), want)
-		}
-		key := pairKey(curSrc, curDst)
-		if _, dup := seen[key]; dup {
-			return fmt.Errorf("paths: duplicate pair %d->%d", curSrc, curDst)
-		}
-		seen[key] = struct{}{}
-		keys = append(keys, key)
-		results = append(results, cur)
-		cur = nil
-		started = false
-		return nil
-	}
-	for {
-		s, ok := next()
-		if !ok {
-			break
-		}
-		switch {
-		case strings.HasPrefix(s, "pair "):
-			if err := flush(); err != nil {
-				return nil, err
-			}
-			var np int
-			if _, err := fmt.Sscanf(s, "pair %d %d %d", &curSrc, &curDst, &np); err != nil {
-				return nil, fmt.Errorf("paths: line %d: %v", line, err)
-			}
-			if np < 0 || np > maxPathsPerPair {
-				return nil, fmt.Errorf("paths: line %d: path count %d out of range", line, np)
-			}
-			if curSrc < 0 || int(curSrc) >= g.NumNodes() || curDst < 0 || int(curDst) >= g.NumNodes() {
-				return nil, fmt.Errorf("paths: line %d: pair %d->%d out of range", line, curSrc, curDst)
-			}
-			want = np
-			// Capacity is clamped: the declared count is only trusted
-			// once the actual path lines have arrived.
-			cur = make([]graph.Path, 0, min(np, 1024))
-			started = true
-		case strings.HasPrefix(s, "path"):
-			if !started {
-				return nil, fmt.Errorf("paths: line %d: path before pair", line)
-			}
-			if len(cur) >= want {
-				return nil, fmt.Errorf("paths: line %d: more paths than the pair header declared", line)
-			}
-			fields := strings.Fields(s)[1:]
-			p := make(graph.Path, len(fields))
-			for i, f := range fields {
-				v, err := strconv.Atoi(f)
-				if err != nil {
-					return nil, fmt.Errorf("paths: line %d: %v", line, err)
-				}
-				// Range-check before the NodeID cast: an out-of-range id
-				// would otherwise index the graph's adjacency arrays.
-				if v < 0 || v >= g.NumNodes() {
-					return nil, fmt.Errorf("paths: line %d: node %d out of range", line, v)
-				}
-				p[i] = graph.NodeID(v)
-			}
-			if !p.ValidIn(g) {
-				return nil, fmt.Errorf("paths: line %d: path %v not valid in graph", line, p)
-			}
-			if p.Src() != curSrc || p.Dst() != curDst {
-				return nil, fmt.Errorf("paths: line %d: path endpoints do not match pair", line)
-			}
-			cur = append(cur, p)
-		default:
-			return nil, fmt.Errorf("paths: line %d: unknown record %q", line, s)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if err := flush(); err != nil {
-		return nil, err
-	}
-	if len(keys) > 0 {
-		db.st = pack(keys, results, 0, 1)
-	}
-	return db, nil
 }

@@ -2,51 +2,14 @@ package paths
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
-	"repro/internal/graph"
 	"repro/internal/ksp"
 )
 
-func TestDBRoundTrip(t *testing.T) {
-	g := testGraph(t)
-	orig := BuildAllPairs(g, ksp.Config{Alg: ksp.REDKSP, K: 4}, 77, 4)
-	var buf bytes.Buffer
-	if err := orig.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumPairs() != orig.NumPairs() {
-		t.Fatalf("pairs = %d, want %d", got.NumPairs(), orig.NumPairs())
-	}
-	if got.Config() != orig.Config() {
-		t.Fatalf("config = %+v", got.Config())
-	}
-	for s := graph.NodeID(0); s < 24; s += 3 {
-		for d := graph.NodeID(0); d < 24; d += 5 {
-			if s == d {
-				continue
-			}
-			a, b := orig.Paths(s, d), got.Paths(s, d)
-			if len(a) != len(b) {
-				t.Fatalf("%d->%d: %d vs %d paths", s, d, len(a), len(b))
-			}
-			for i := range a {
-				if !a[i].Equal(b[i]) {
-					t.Fatalf("%d->%d path %d: %v vs %v", s, d, i, a[i], b[i])
-				}
-			}
-		}
-	}
-}
-
 func TestDBWriteDeterministicAcrossWorkers(t *testing.T) {
 	// Eager builds split work across goroutines; per-pair seed splitting
-	// plus sorted emission must make the archive byte-identical no matter
+	// plus sorted emission must make the dump byte-identical no matter
 	// the worker count. rEDKSP exercises the randomized selector.
 	g := testGraph(t)
 	var want []byte
@@ -61,7 +24,7 @@ func TestDBWriteDeterministicAcrossWorkers(t *testing.T) {
 			continue
 		}
 		if !bytes.Equal(buf.Bytes(), want) {
-			t.Fatalf("workers=%d: archive differs from workers=1 output", workers)
+			t.Fatalf("workers=%d: dump differs from workers=1 output", workers)
 		}
 	}
 	// Two independent writes of the same DB must also match byte-for-byte
@@ -76,63 +39,5 @@ func TestDBWriteDeterministicAcrossWorkers(t *testing.T) {
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("repeated Write of the same DB differs")
-	}
-}
-
-func TestDBReadLazyConsistency(t *testing.T) {
-	// A partially-populated archive must keep producing the same paths
-	// lazily for pairs that were not archived.
-	g := testGraph(t)
-	partial := Build(g, ksp.Config{Alg: ksp.RKSP, K: 3}, 9,
-		[]Pair{{0, 1}, {2, 3}}, 1)
-	var buf bytes.Buffer
-	if err := partial.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Read(&buf, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh := NewDB(g, ksp.Config{Alg: ksp.RKSP, K: 3}, 9)
-	// Unarchived pair computed lazily must match a fresh DB.
-	a, b := loaded.Paths(5, 9), fresh.Paths(5, 9)
-	for i := range a {
-		if !a[i].Equal(b[i]) {
-			t.Fatalf("lazy path %d differs after reload", i)
-		}
-	}
-}
-
-func TestDBReadRejectsGarbage(t *testing.T) {
-	g := testGraph(t)
-	cases := []string{
-		"NOPE\n",
-		"PATHDB 1\nconfig bogus 4 1\n",
-		"PATHDB 1\nconfig rEDKSP 4 1\npath 0 1\n",               // path before pair
-		"PATHDB 1\nconfig rEDKSP 4 1\npair 0 1 1\npath 0 99\n",  // invalid node
-		"PATHDB 1\nconfig rEDKSP 4 1\npair 0 1 2\npath 0 1\n",   // count mismatch
-		"PATHDB 1\nconfig rEDKSP 4 1\npair 0 1 1\npath 1 0\n",   // endpoints reversed
-		"PATHDB 1\nconfig rEDKSP 4 1\npair 0 1 1\nfrobnicate\n", // unknown record
-	}
-	for i, in := range cases {
-		if _, err := Read(strings.NewReader(in), g); err == nil {
-			t.Errorf("case %d accepted garbage", i)
-		}
-	}
-}
-
-func TestDBWriteEmptyIsLoadable(t *testing.T) {
-	g := testGraph(t)
-	empty := NewDB(g, ksp.Config{Alg: ksp.KSP, K: 2}, 3)
-	var buf bytes.Buffer
-	if err := empty.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumPairs() != 0 {
-		t.Fatalf("pairs = %d", got.NumPairs())
 	}
 }

@@ -94,5 +94,3 @@ func Names() []string {
 func Mechanisms() []Mechanism {
 	return []Mechanism{Random(), RoundRobin(), VanillaUGAL(), KSPUGAL(), KSPAdaptive()}
 }
-
-func sameSwitch(src graph.NodeID) graph.Path { return graph.Path{src} }

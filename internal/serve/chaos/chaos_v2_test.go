@@ -11,12 +11,13 @@ import (
 )
 
 // TestChaosBinarySwarm is the binary-protocol chaos gate (`make
-// race-serve-v2`; also matched by `make race-chaos`): rogues abusing
+// race-serve-v2`; also matched by `make race-chaos`): rogues speaking
 // the v2 framing — garbage length prefixes, mid-frame disconnects,
-// preamble negotiation abuse — run against a limited daemon alongside
-// JSON rogues and a mixed JSON/binary population of well-behaved
-// clients. The daemon must stay live for both codecs and its health
-// counters must reconcile with the injected schedule.
+// preamble negotiation abuse, handler-timeout overruns and injected
+// panics — run against a limited daemon alongside a mixed JSON/binary
+// population of well-behaved clients. The daemon must stay live for
+// both codecs and its health counters must reconcile with the injected
+// schedule.
 func TestChaosBinarySwarm(t *testing.T) {
 	srv, sock := startServer(t, serve.Options{
 		MaxConns:       64,
@@ -33,14 +34,14 @@ func TestChaosBinarySwarm(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(bg, 30*time.Second)
 	defer cancel()
-	garbage := &chaos.BinaryGarbagePrefix{Frames: 15, Seed: 21}
+	garbage := &chaos.GarbageFlood{Frames: 15, Seed: 21, Binary: true}
 	negotiation := &chaos.NegotiationAbuser{Rounds: 3}
 	rogues := []chaos.Rogue{
 		garbage,
-		&chaos.BinaryMidFrameDisconnect{Conns: 4, Seed: 22},
+		&chaos.MidFrameDisconnect{Conns: 4, Seed: 22, Binary: true},
 		negotiation,
-		&chaos.DeadlineExceeder{Requests: 3, SleepMS: 250},
-		&chaos.CrashInjector{Crashes: 2},
+		&chaos.DeadlineExceeder{Requests: 3, SleepMS: 250, Binary: true},
+		&chaos.CrashInjector{Crashes: 2, Binary: true},
 	}
 	rep := chaos.RunSwarm(ctx, chaos.SwarmConfig{
 		Network: "unix", Addr: sock,
@@ -68,7 +69,7 @@ func TestChaosBinarySwarm(t *testing.T) {
 	// Every hostile frame drew an error response, every malformed
 	// preamble a rejection.
 	if garbage.ErrorFrames != 15 {
-		t.Errorf("garbage prefix drew %d error frames of 15", garbage.ErrorFrames)
+		t.Errorf("binary garbage flood drew %d error frames of 15", garbage.ErrorFrames)
 	}
 	if negotiation.Rejections != 2*3 {
 		t.Errorf("negotiation abuser drew %d rejections of %d", negotiation.Rejections, 2*3)

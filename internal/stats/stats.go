@@ -72,15 +72,6 @@ func Improvement(baseline, newVal float64) float64 {
 	return (baseline - newVal) / baseline * 100
 }
 
-// Speedup returns the percentage by which newVal improves over baseline
-// when larger is better (e.g. throughput): (new-baseline)/baseline * 100.
-func Speedup(baseline, newVal float64) float64 {
-	if baseline == 0 {
-		return 0
-	}
-	return (newVal - baseline) / baseline * 100
-}
-
 // Table accumulates rows and renders them as aligned text or CSV.
 type Table struct {
 	Title   string

@@ -253,15 +253,6 @@ func (c *Collector) CountFaultRepair() { c.faultRepairs.Add(1) }
 // SetLinksDown records the current number of failed links (a gauge).
 func (c *Collector) SetLinksDown(n int64) { c.linksDown.Store(n) }
 
-// FaultCounts returns the cumulative fault-event, drop, reroute and
-// repair totals.
-func (c *Collector) FaultCounts() (events, drops, reroutes, repairs int64) {
-	return c.faultEvents.Load(), c.faultDrops.Load(), c.faultReroutes.Load(), c.faultRepairs.Load()
-}
-
-// LinksDown returns the current number of failed links.
-func (c *Collector) LinksDown() int64 { return c.linksDown.Load() }
-
 // SampleQueues records one cycle's committed occupancy for every link in
 // occ (occ may cover a prefix of the links; trailing pseudo-links keep
 // only stall counters) and advances the sampled-cycle count.

@@ -138,8 +138,3 @@ func (g *RNG) SampleK(n, k int) []int {
 func ShuffleSlice[T any](g *RNG, s []T) {
 	g.Shuffle(len(s), func(i, j int) { s[i], s[j] = s[j], s[i] })
 }
-
-// Pick returns a uniformly chosen element of s. It panics on an empty slice.
-func Pick[T any](g *RNG, s []T) T {
-	return s[g.IntN(len(s))]
-}
