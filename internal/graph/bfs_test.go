@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/xrand"
@@ -273,23 +275,60 @@ func TestComputeMetricsComplete(t *testing.T) {
 	}
 }
 
-func TestEngineGraphAccessor(t *testing.T) {
-	g := line(3)
-	e := NewSPEngine(g, TieDeterministic, nil)
-	if e.Graph() != g {
-		t.Fatal("Graph accessor wrong")
+// TestEngineCountersWrap runs one script of bans and searches on an engine
+// whose search and ban counters are at 2^32-1 and on a fresh engine, which
+// must answer identically. Across the wrap, neither a zero counter
+// (matching every untouched mark) nor a stale mark left 2^32 epochs
+// earlier may make a node or link read as banned, or a node as already
+// discovered. The stale case first leaves marks at the counters' first
+// values, as a long-lived engine's first calls would: bans on query
+// endpoints and on every link of node 1, and an all-nodes search.
+func TestEngineCountersWrap(t *testing.T) {
+	g := randomGraph(xrand.New(31), 40, 0.12)
+	dist, want := make([]int32, 40), make([]int32, 40)
+	stale := func(e *SPEngine) {
+		e.ClearBans()
+		for _, u := range []NodeID{5, 30, 39} {
+			e.BanNode(u)
+		}
+		for _, v := range g.Neighbors(1) {
+			e.BanUndirectedEdge(1, v)
+		}
+		e.ClearBans()
+		e.AllDistancesFrom(0, dist)
 	}
-}
-
-func TestEngineDistance(t *testing.T) {
-	e := NewSPEngine(cycle(8), TieDeterministic, nil)
-	if d := e.Distance(0, 4); d != 4 {
-		t.Fatalf("Distance = %d, want 4", d)
-	}
-	b := NewBuilder(4)
-	b.AddEdge(0, 1)
-	e2 := NewSPEngine(b.Graph(), TieDeterministic, nil)
-	if d := e2.Distance(0, 3); d != -1 {
-		t.Fatalf("unreachable Distance = %d, want -1", d)
+	for _, tie := range []TieBreak{TieDeterministic, TieRandom} {
+		for _, warm := range []func(*SPEngine){func(*SPEngine) {}, stale} {
+			oldRNG, freshRNG := xrand.New(5), xrand.New(5)
+			old := NewSPEngine(g, tie, oldRNG)
+			fresh := NewSPEngine(g, tie, freshRNG)
+			warm(old)
+			old.epoch = math.MaxUint32
+			old.banCur = math.MaxUint32
+			for i := NodeID(0); i < 8; i++ {
+				for _, e := range []*SPEngine{old, fresh} {
+					e.ClearBans()
+					e.BanNode(2*i + 10)
+					e.BanDirectedEdge(i, i+3)
+				}
+				for _, pr := range [][2]NodeID{{1, 30}, {i + 1, 39}, {3 * i, 5}, {20, i + 2}} {
+					p, ok := old.ShortestPath(pr[0], pr[1])
+					q, okq := fresh.ShortestPath(pr[0], pr[1])
+					if ok != okq || !p.Equal(q) {
+						t.Fatalf("tie %d, step %d: %d->%d = %v, %v across the wrap; fresh engine %v, %v",
+							tie, i, pr[0], pr[1], p, ok, q, okq)
+					}
+				}
+				old.AllDistancesFrom(i+1, dist)
+				fresh.AllDistancesFrom(i+1, want)
+				if !slices.Equal(dist, want) {
+					t.Fatalf("tie %d, step %d: distances from %d = %v across the wrap; fresh engine %v",
+						tie, i, i+1, dist, want)
+				}
+			}
+			if old.epoch > 100 || old.banCur > 100 {
+				t.Fatalf("counters did not wrap: epoch %d, banCur %d", old.epoch, old.banCur)
+			}
+		}
 	}
 }

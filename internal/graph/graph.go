@@ -2,8 +2,8 @@
 // in this repository: a compact undirected graph with sorted adjacency
 // lists, breadth-first shortest-path machinery with pluggable tie-breaking
 // (deterministic-by-id and randomized — the heart of the paper's rKSP
-// heuristic), weighted Dijkstra, and whole-graph metrics such as average
-// shortest path length and diameter.
+// heuristic), max-flow disjoint-path counts, and whole-graph metrics such
+// as average shortest path length and diameter.
 //
 // Graphs are immutable once built via Builder.Graph, which makes them safe
 // to share across the worker pools used for all-pairs path computation and

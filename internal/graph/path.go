@@ -87,11 +87,6 @@ func UndirectedEdgeKey(u, v NodeID) uint64 {
 	return uint64(uint32(u))<<32 | uint64(uint32(v))
 }
 
-// DirectedEdgeKey packs the directed edge u→v into a 64-bit key.
-func DirectedEdgeKey(u, v NodeID) uint64 {
-	return uint64(uint32(u))<<32 | uint64(uint32(v))
-}
-
 // String renders the path as "0->5->12".
 func (p Path) String() string {
 	var sb strings.Builder
@@ -103,25 +98,3 @@ func (p Path) String() string {
 	}
 	return sb.String()
 }
-
-// SharedEdges returns the number of undirected edges that appear in both
-// paths.
-func (p Path) SharedEdges(q Path) int {
-	if len(p) < 2 || len(q) < 2 {
-		return 0
-	}
-	set := make(map[uint64]struct{}, len(p))
-	for i := 0; i+1 < len(p); i++ {
-		set[UndirectedEdgeKey(p[i], p[i+1])] = struct{}{}
-	}
-	shared := 0
-	for i := 0; i+1 < len(q); i++ {
-		if _, ok := set[UndirectedEdgeKey(q[i], q[i+1])]; ok {
-			shared++
-		}
-	}
-	return shared
-}
-
-// EdgeDisjoint reports whether the two paths share no undirected edge.
-func (p Path) EdgeDisjoint(q Path) bool { return p.SharedEdges(q) == 0 }

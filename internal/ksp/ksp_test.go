@@ -160,11 +160,14 @@ func TestYenFindsAllSevenPaths(t *testing.T) {
 
 func assertPairwiseDisjoint(t *testing.T, paths []graph.Path) {
 	t.Helper()
-	for i := range paths {
-		for j := i + 1; j < len(paths); j++ {
-			if !paths[i].EdgeDisjoint(paths[j]) {
-				t.Fatalf("paths %d and %d share an edge: %v / %v", i, j, paths[i], paths[j])
+	used := map[uint64]int{}
+	for i, p := range paths {
+		for h := 0; h+1 < len(p); h++ {
+			key := graph.UndirectedEdgeKey(p[h], p[h+1])
+			if j, ok := used[key]; ok {
+				t.Fatalf("paths %d and %d share an edge: %v / %v", j, i, paths[j], p)
 			}
+			used[key] = i
 		}
 	}
 }

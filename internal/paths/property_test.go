@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/jellyfish"
 	"repro/internal/ksp"
 	"repro/internal/xrand"
@@ -94,12 +95,15 @@ func TestSelectorInvariantsProperty(t *testing.T) {
 					prevHops = p.Hops()
 				}
 				if alg.EdgeDisjoint() {
-					for i := 0; i < len(ps); i++ {
-						for j := i + 1; j < len(ps); j++ {
-							if !ps[i].EdgeDisjoint(ps[j]) {
-								t.Fatalf("%v on %v: %d->%d paths %d and %d share a link",
-									alg, inst.params, pr.Src, pr.Dst, i, j)
+					used := map[uint64]bool{}
+					for pi, p := range ps {
+						for h := 0; h+1 < len(p); h++ {
+							key := graph.UndirectedEdgeKey(p[h], p[h+1])
+							if used[key] {
+								t.Fatalf("%v on %v: %d->%d path %d reuses link %d-%d",
+									alg, inst.params, pr.Src, pr.Dst, pi, p[h], p[h+1])
 							}
+							used[key] = true
 						}
 					}
 				}
