@@ -137,7 +137,7 @@ func (sc Scale) pathDBPairs(topo *jellyfish.Topology, alg ksp.Algorithm, ti int,
 // DBs the experiments on paramsList would build: one cache file per
 // (topology sample, selector). Later jfnet/jfflit/jfapp runs with the
 // same -seed, -k and -path-cache then start from cache hits instead of
-// Dijkstra storms — the intended workflow for the large topology, where
+// all-pairs searches — the intended workflow for the large topology, where
 // the build dominates wall time (see docs/PATHS.md).
 func WarmPathCache(paramsList []jellyfish.Params, algs []ksp.Algorithm, sc Scale) error {
 	sc, err := sc.withDefaults()

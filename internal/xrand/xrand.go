@@ -2,7 +2,7 @@
 // throughout the repository.
 //
 // All randomized algorithms in this module (RRG construction, randomized
-// Dijkstra tie-breaking, traffic pattern generation, adaptive routing
+// shortest-path tie-breaking, traffic pattern generation, adaptive routing
 // candidate sampling, ...) draw from explicitly seeded sources so that every
 // experiment is reproducible from its seed. The package wraps math/rand/v2
 // PCG sources and adds a few helpers that the standard library does not
