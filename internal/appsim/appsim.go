@@ -1,4 +1,4 @@
-// Package appsim is a discrete-event, packet-level application simulator
+// Package appsim is a cycle-stepped, packet-level application simulator
 // standing in for CODES 1.0.0, which the paper extends with Jellyfish
 // support for its Tables V and VI. It replays one communication phase of a
 // trace-driven workload (every flow's bytes packetized and injected
@@ -10,7 +10,8 @@
 // one simulation cycle is the transmission time of one packet on one link
 // (1500 B / 20 GB/s = 75 ns), every link moves at most one packet per
 // cycle, and switches are store-and-forward. Deadlock freedom uses the
-// same VC-per-hop discipline as the flit-level simulator.
+// same VC-per-hop discipline as the flit-level simulator, over the same
+// VC queues (internal/vcq) and load estimator (routing.OccupancyEstimator).
 package appsim
 
 import (
@@ -22,6 +23,7 @@ import (
 	"repro/internal/routing"
 	"repro/internal/telemetry"
 	"repro/internal/traffic"
+	"repro/internal/vcq"
 	"repro/internal/xrand"
 )
 
@@ -157,6 +159,7 @@ type flowState struct {
 
 type pkt struct {
 	path    graph.Path
+	movedAt int64 // cycle the packet last entered a queue
 	hop     int32
 	dstTerm int32
 	flowIdx int32
@@ -291,15 +294,12 @@ func Run(cfg Config) (Result, error) {
 	}
 
 	rng := xrand.New(cfg.Seed)
-	queues := make([][]fifo, numNet+numTerm) // network links then ejection links
-	for i := range queues {
-		queues[i] = make([]fifo, numVC)
-	}
+	vq := vcq.New(numNet+numTerm, numVC) // network links then ejection links
 	occ := make([]int32, numNet+numTerm)
 	occVC := make([]int32, (numNet+numTerm)*numVC)
-	rrVC := make([]int32, numNet+numTerm)
 	rrFlow := make([]int32, numTerm)
 	ejBase := int32(numNet)
+	var clock int64
 
 	var pkts []pkt
 	free := int32(-1)
@@ -317,17 +317,6 @@ func Run(cfg Config) (Result, error) {
 		free = id
 	}
 
-	pickVC := func(link int32) int32 {
-		start := rrVC[link]
-		for i := 0; i < numVC; i++ {
-			vc := (start + int32(i)) % int32(numVC)
-			if queues[link][vc].len() > 0 {
-				rrVC[link] = (vc + 1) % int32(numVC)
-				return vc
-			}
-		}
-		return -1
-	}
 	space := func(link, vc int32) bool {
 		return int(occVC[int(link)*numVC+int(vc)]) < cfg.BufDepth
 	}
@@ -339,13 +328,21 @@ func Run(cfg Config) (Result, error) {
 		occ[link]--
 		occVC[int(link)*numVC+int(vc)]--
 	}
-	// The routing engine sees appsim's congestion through the first-hop
-	// queue estimate and its path state through a View over the path DB
+	// Because router/NIC delays are zero, channel traversal is immediate:
+	// a packet sent on a link this cycle enters the next queue this cycle
+	// but cannot be forwarded again until the next cycle (store and
+	// forward). enqueue stamps the cycle into the packet for that check.
+	enqueue := func(link, vc, id int32) {
+		vq.Push(link, vc, id)
+		pkts[id].movedAt = clock
+	}
+	// The routing engine sees appsim's congestion through the first-link
+	// queue occupancy and its path state through a View over the path DB
 	// and the fault tracker; choose wraps the per-run mechanism state.
 	// A nil path means no candidate survives the current failures (or the
 	// pair has no paths at all); the caller decides between erroring and
 	// dropping.
-	est := firstHopLoad{g: g, occ: occ}
+	est := routing.NewOccupancyEstimator(g, occ)
 	view := routing.View{
 		Provider: cfg.Paths,
 		Faults:   fst,
@@ -357,20 +354,7 @@ func Run(cfg Config) (Result, error) {
 		return mechState.Choose(&view, srcSw, dstSw, est, rng)
 	}
 
-	// Because router/NIC delays are zero, channel traversal is immediate:
-	// a packet sent on a link this cycle enters the next queue this cycle
-	// but cannot be forwarded again until the next cycle (store and
-	// forward). We enforce that with a per-packet "moved at" stamp.
-	movedAt := make([]int64, 0)
-	stamp := func(id int32, clock int64) {
-		for int(id) >= len(movedAt) {
-			movedAt = append(movedAt, -1)
-		}
-		movedAt[id] = clock
-	}
-
 	var delivered int64
-	var clock int64
 	var phaseDropped int64 // dropped this phase; counts toward the drain target
 	var rerouteQ []int32   // packets awaiting space on their replacement path
 
@@ -432,9 +416,8 @@ func Run(cfg Config) (Result, error) {
 			down := g.LinkID(e.U, e.V)
 			for _, link := range [2]int32{down, g.ReverseLink(down)} {
 				for vc := int32(0); int(vc) < numVC; vc++ {
-					q := &queues[link][vc]
-					for q.len() > 0 {
-						id := q.pop()
+					for vq.Len(link, vc) > 0 {
+						id := vq.Pop(link, vc)
 						uncommit(link, vc)
 						p := &pkts[id]
 						handleFault(id, p.path[p.hop])
@@ -458,19 +441,16 @@ func Run(cfg Config) (Result, error) {
 				}
 				p.path = np
 			}
-			var link, vc int32
-			if p.path.Hops() == 0 {
-				link, vc = ejBase+p.dstTerm, 0
-			} else {
-				link, vc = g.LinkID(p.path[0], p.path[1]), 0
+			link := ejBase + p.dstTerm
+			if p.path.Hops() > 0 {
+				link = est.FirstLink(p.path)
 			}
-			if !space(link, vc) {
+			if !space(link, 0) {
 				kept = append(kept, id)
 				continue
 			}
-			commit(link, vc)
-			queues[link][vc].push(id)
-			stamp(id, clock)
+			commit(link, 0)
+			enqueue(link, 0, id)
 		}
 		rerouteQ = kept
 	}
@@ -512,13 +492,11 @@ func Run(cfg Config) (Result, error) {
 			// 1. Ejection links drain one packet per cycle.
 			for term := int32(0); int(term) < numTerm; term++ {
 				link := ejBase + term
-				if vc := pickVC(link); vc >= 0 {
-					q := &queues[link][vc]
-					id := q.peek()
-					if movedAt[id] == clock {
+				if vc, id := vq.Pick(link); vc >= 0 {
+					if pkts[id].movedAt == clock {
 						continue // store-and-forward: arrived this cycle
 					}
-					q.pop()
+					vq.Pop(link, vc)
 					uncommit(link, vc)
 					if tel != nil {
 						tel.CountForward(link)
@@ -541,16 +519,14 @@ func Run(cfg Config) (Result, error) {
 				if fst != nil && fst.LinkDown(link) {
 					continue
 				}
-				vc := pickVC(link)
+				vc, id := vq.Pick(link)
 				if vc < 0 {
 					continue
 				}
-				q := &queues[link][vc]
-				id := q.peek()
-				if movedAt[id] == clock {
+				p := &pkts[id]
+				if p.movedAt == clock {
 					continue
 				}
-				p := &pkts[id]
 				var nextLink, nextVC int32
 				if int(p.hop)+1 >= p.path.Hops() {
 					nextLink, nextVC = ejBase+p.dstTerm, 0
@@ -561,7 +537,7 @@ func Run(cfg Config) (Result, error) {
 				if fst != nil && fst.LinkDown(nextLink) {
 					// The packet's next hop died while it was queued here:
 					// pull it and reroute/drop from its current switch.
-					q.pop()
+					vq.Pop(link, vc)
 					uncommit(link, vc)
 					handleFault(id, p.path[p.hop])
 					continue
@@ -572,15 +548,14 @@ func Run(cfg Config) (Result, error) {
 					}
 					continue
 				}
-				q.pop()
+				vq.Pop(link, vc)
 				uncommit(link, vc)
 				commit(nextLink, nextVC)
 				if tel != nil {
 					tel.CountForward(link)
 				}
 				p.hop++
-				queues[nextLink][nextVC].push(id)
-				stamp(id, clock)
+				enqueue(nextLink, nextVC, id)
 			}
 
 			// 2b. Re-inject packets rerouted around failures.
@@ -611,36 +586,26 @@ func Run(cfg Config) (Result, error) {
 						// per attempt so the run drains deterministically
 						// instead of spinning to MaxCycles.
 						dropFlowPacket(f.flowIdx)
-						sent = true
-						f.left--
-						if f.left == 0 {
-							flows[fi] = flows[len(flows)-1]
-							srcFlows[term] = flows[:len(flows)-1]
-						}
-						rrFlow[term] = int32(fi + 1)
-						break
-					}
-					if path.Hops() > numVC {
-						return res, fmt.Errorf("appsim: path with %d hops exceeds %d VCs", path.Hops(), numVC)
-					}
-					var link, vc int32
-					if path.Hops() == 0 {
-						link, vc = ejBase+f.dstTerm, 0
 					} else {
-						link, vc = g.LinkID(path[0], path[1]), 0
-					}
-					if !space(link, vc) {
-						continue // head-of-line across flows: try the next flow
-					}
-					id := alloc()
-					pkts[id] = pkt{path: path, dstTerm: f.dstTerm, flowIdx: f.flowIdx, next: -1}
-					commit(link, vc)
-					queues[link][vc].push(id)
-					stamp(id, clock)
-					if tel != nil {
-						tel.CountForward(int32(numNet + numTerm + int(term)))
-						if choiceIdx >= 0 {
-							tel.CountChoice(choiceIdx)
+						if path.Hops() > numVC {
+							return res, fmt.Errorf("appsim: path with %d hops exceeds %d VCs", path.Hops(), numVC)
+						}
+						link := ejBase + f.dstTerm
+						if path.Hops() > 0 {
+							link = est.FirstLink(path)
+						}
+						if !space(link, 0) {
+							continue // head-of-line across flows: try the next flow
+						}
+						id := alloc()
+						pkts[id] = pkt{path: path, dstTerm: f.dstTerm, flowIdx: f.flowIdx, next: -1}
+						commit(link, 0)
+						enqueue(link, 0, id)
+						if tel != nil {
+							tel.CountForward(int32(numNet + numTerm + int(term)))
+							if choiceIdx >= 0 {
+								tel.CountChoice(choiceIdx)
+							}
 						}
 					}
 					sent = true
@@ -690,43 +655,4 @@ func Run(cfg Config) (Result, error) {
 		res.PathRepairs = repairs
 	}
 	return res, nil
-}
-
-// firstHopLoad backs routing.LoadEstimator with appsim's congestion
-// signal: the occupancy of a path's first network link times its hop
-// count (the same UGAL-style estimate flitsim computes from its credit
-// counters). Zero-hop (same switch) paths cost 0.
-type firstHopLoad struct {
-	g   *graph.Graph
-	occ []int32
-}
-
-func (e firstHopLoad) PathCost(p graph.Path) int {
-	h := p.Hops()
-	if h <= 0 {
-		return 0
-	}
-	return int(e.occ[e.g.LinkID(p[0], p[1])]) * h
-}
-
-// fifo is a slice-backed int32 queue (duplicated from flitsim to keep the
-// packages independent; both are small).
-type fifo struct {
-	buf  []int32
-	head int
-}
-
-func (f *fifo) len() int { return len(f.buf) - f.head }
-func (f *fifo) push(p int32) {
-	if f.head > 64 && f.head*2 >= len(f.buf) {
-		f.buf = append(f.buf[:0], f.buf[f.head:]...)
-		f.head = 0
-	}
-	f.buf = append(f.buf, p)
-}
-func (f *fifo) peek() int32 { return f.buf[f.head] }
-func (f *fifo) pop() int32 {
-	p := f.buf[f.head]
-	f.head++
-	return p
 }

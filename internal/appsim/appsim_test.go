@@ -299,3 +299,31 @@ func TestIterations(t *testing.T) {
 		t.Fatalf("cycles = %d, too slow for 3 phases of %d", three.Cycles, one.Cycles)
 	}
 }
+
+// TestReplayAllocsFlat pins that a replay's allocations do not grow with
+// the number of packets it moves: path choice, queueing and forwarding
+// allocate nothing per packet once the queues and the packet pool have
+// grown, so each extra iteration may allocate at most the flow table it
+// rebuilds (one list per terminal plus its flows).
+func TestReplayAllocsFlat(t *testing.T) {
+	topo := jelly(t, 18, 8, 6, 2)
+	db := paths.BuildAllPairs(topo.G, ksp.Config{Alg: ksp.REDKSP, K: 4}, 1, 0)
+	flows := traffic.Stencil(traffic.StencilConfig{
+		Kind: traffic.Stencil2DNNDiag, Ranks: topo.NumTerminals(), TotalBytes: 120 * 1500,
+	}).Apply(traffic.LinearMapping(topo.NumTerminals()))
+	allocs := func(iterations int) float64 {
+		cfg := Config{Topo: topo, Paths: db, Mechanism: routing.KSPAdaptive(), Flows: flows,
+			Seed: 3, Iterations: iterations}
+		return testing.AllocsPerRun(3, func() {
+			if _, err := Run(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	one, eight := allocs(1), allocs(8)
+	perIter := (eight - one) / 7
+	if bound := float64(topo.NumTerminals() + len(flows)); perIter > bound {
+		t.Fatalf("each extra iteration allocates %.0f times (1 iteration: %.0f, 8: %.0f), want <= %.0f",
+			perIter, one, eight, bound)
+	}
+}

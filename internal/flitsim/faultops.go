@@ -52,7 +52,7 @@ func (s *Sim) onFaultEvents(evs []faults.Event) {
 // handling each packet at the link's sending switch.
 func (s *Sim) flushLink(link int32) {
 	for vc := int32(0); int(vc) < s.numVC; vc++ {
-		for s.queues[link][vc].len() > 0 {
+		for s.vq.Len(link, vc) > 0 {
 			id := s.qpop(link, vc)
 			p := &s.pkts[id]
 			s.handleFaultPacket(id, p.path[p.hop])

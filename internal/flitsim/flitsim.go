@@ -36,6 +36,7 @@ import (
 	"repro/internal/routing"
 	"repro/internal/telemetry"
 	"repro/internal/traffic"
+	"repro/internal/vcq"
 	"repro/internal/xrand"
 )
 
@@ -211,28 +212,24 @@ type Sim struct {
 	rng   *xrand.RNG
 	mech  routing.State
 	view  routing.View
+	est   *routing.OccupancyEstimator // prices candidates by occ
 	numVC int
 
 	// Link indexing: [0, L) network links (graph link ids), then
 	// [L, L+T) injection links, then [L+T, L+2T) ejection links.
 	numNet   int
 	numTerm  int
-	queues   [][]fifo // [link][vc]
-	occ      []int32  // committed occupancy per link (queued + reserved)
-	occVC    []int32  // committed occupancy per (link, vc)
-	rrVC     []int32  // round-robin VC pointer per link
-	inflight wheel    // packets on channels, by arrival cycle
+	vq       vcq.Queues // per-(link, vc) FIFOs with round-robin VC arbitration
+	occ      []int32    // committed occupancy per link (queued + reserved)
+	occVC    []int32    // committed occupancy per (link, vc)
+	inflight wheel      // packets on channels, by arrival cycle
 
 	// Sparse hot-loop state: per-cycle cost is proportional to occupancy,
 	// not topology size. qlen counts queued (not reserved) packets per
 	// link; active is a bitmap over links with qlen > 0, scanned ascending
-	// so arbitration order matches a full link scan; vcMask holds one
-	// nonempty-VC bitmask per link (maskWords uint64 words each) resolved
-	// by pickVC with bits.TrailingZeros64; srcActive is the same bitmap
-	// idea over terminals with a nonempty source queue. All four are
-	// maintained exclusively by qpush/qpop/srcPush/srcPop.
-	maskWords int
-	vcMask    []uint64
+	// so arbitration order matches a full link scan; srcActive is the same
+	// bitmap idea over terminals with a nonempty source queue. All three
+	// are maintained exclusively by qpush/qpop/srcPush/srcPop.
 	qlen      []int32
 	active    []uint64
 	srcActive []uint64
@@ -265,35 +262,7 @@ type Sim struct {
 	latHist                            []int64 // per-cycle latency histogram (measured packets)
 	maxHops                            int
 
-	srcQueue []fifo // per-terminal infinite source queues (single VC)
-}
-
-// fifo is a slice-backed packet-index queue.
-type fifo struct {
-	buf  []int32
-	head int
-}
-
-func (f *fifo) len() int { return len(f.buf) - f.head }
-func (f *fifo) push(p int32) {
-	if f.head > 64 && f.head*2 >= len(f.buf) {
-		f.buf = append(f.buf[:0], f.buf[f.head:]...)
-		f.head = 0
-	}
-	f.buf = append(f.buf, p)
-}
-func (f *fifo) peek() int32 { return f.buf[f.head] }
-func (f *fifo) pop() int32 {
-	p := f.buf[f.head]
-	f.head++
-	if f.head == len(f.buf) {
-		// Drained: rewind to the front of the backing array (capacity kept).
-		// Without this a mostly-empty queue creeps toward the head>64 slide
-		// threshold and keeps growing its array long into steady state.
-		f.buf = f.buf[:0]
-		f.head = 0
-	}
-	return p
+	srcQueue []vcq.FIFO // per-terminal infinite source queues (single VC)
 }
 
 // wheel schedules in-flight packets by absolute arrival cycle.
@@ -445,15 +414,10 @@ func NewSim(cfg Config) (*Sim, error) {
 		}
 	}
 	nLinks := s.numNet + 2*s.numTerm
-	s.queues = make([][]fifo, nLinks)
-	for i := range s.queues {
-		s.queues[i] = make([]fifo, s.numVC)
-	}
+	s.vq = vcq.New(nLinks, s.numVC)
 	s.occ = make([]int32, nLinks)
 	s.occVC = make([]int32, nLinks*s.numVC)
-	s.rrVC = make([]int32, nLinks)
-	s.maskWords = (s.numVC + 63) / 64
-	s.vcMask = make([]uint64, nLinks*s.maskWords)
+	s.est = routing.NewOccupancyEstimator(s.g, s.occ)
 	s.qlen = make([]int32, nLinks)
 	s.active = make([]uint64, (nLinks+63)/64)
 	s.srcActive = make([]uint64, (s.numTerm+63)/64)
@@ -468,7 +432,7 @@ func NewSim(cfg Config) (*Sim, error) {
 	s.inflight = newWheel(maxLat + 1)
 	s.free = -1
 	s.latHist = make([]int64, int(cfg.SatLatency)*4+1)
-	s.srcQueue = make([]fifo, s.numTerm)
+	s.srcQueue = make([]vcq.FIFO, s.numTerm)
 	s.mech = cfg.Mechanism.NewState()
 	if cfg.Telemetry != nil {
 		s.tel = cfg.Telemetry
@@ -512,24 +476,12 @@ func (s *Sim) Telemetry() *telemetry.Collector { return s.tel }
 func (s *Sim) injLink(term int32) int32 { return int32(s.numNet) + term }
 func (s *Sim) ejLink(term int32) int32  { return int32(s.numNet+s.numTerm) + term }
 
-// PathCost is the UGAL-style latency estimate: the committed occupancy of
-// the path's first network link times the path's hop count. Zero-hop
-// (same switch) paths cost 0. It implements routing.LoadEstimator, backing
-// the mechanisms with the credit/queue congestion signal.
-func (s *Sim) PathCost(p graph.Path) int {
-	h := p.Hops()
-	if h <= 0 {
-		return 0
-	}
-	return int(s.occ[s.g.LinkID(p[0], p[1])]) * h
-}
-
 // choosePath runs the configured mechanism for one packet from switch src
-// to switch dst, returning the chosen path and its candidate index (-1
-// for same-switch or composed paths; nil when faults severed every
-// candidate).
+// to switch dst, pricing candidates by committed credit occupancy, and
+// returns the chosen path and its candidate index (-1 for same-switch or
+// composed paths; nil when faults severed every candidate).
 func (s *Sim) choosePath(src, dst graph.NodeID) (graph.Path, int) {
-	return s.mech.Choose(&s.view, src, dst, s, s.rng)
+	return s.mech.Choose(&s.view, src, dst, s.est, s.rng)
 }
 
 func (s *Sim) allocPkt() int32 {
@@ -558,15 +510,11 @@ func (s *Sim) setPath(p *packet, path graph.Path) {
 	}
 }
 
-// qpush appends a packet to (link, vc), maintaining the VC bitmask and the
-// active-link bitmap. Committed occupancy (occ/occVC) is not touched: the
-// slot was reserved when the packet departed its previous queue.
+// qpush appends a packet to (link, vc), maintaining the active-link
+// bitmap. Committed occupancy (occ/occVC) is not touched: the slot was
+// reserved when the packet departed its previous queue.
 func (s *Sim) qpush(link, vc, id int32) {
-	q := &s.queues[link][vc]
-	if q.len() == 0 {
-		s.vcMask[int(link)*s.maskWords+int(vc)>>6] |= 1 << (uint(vc) & 63)
-	}
-	q.push(id)
+	s.vq.Push(link, vc, id)
 	s.qlen[link]++
 	s.queuedPkts++
 	if s.qlen[link] == 1 {
@@ -575,13 +523,9 @@ func (s *Sim) qpush(link, vc, id int32) {
 }
 
 // qpop removes the head of (link, vc) and releases its committed slot,
-// maintaining the VC bitmask and the active-link bitmap.
+// maintaining the active-link bitmap.
 func (s *Sim) qpop(link, vc int32) int32 {
-	q := &s.queues[link][vc]
-	id := q.pop()
-	if q.len() == 0 {
-		s.vcMask[int(link)*s.maskWords+int(vc)>>6] &^= 1 << (uint(vc) & 63)
-	}
+	id := s.vq.Pop(link, vc)
 	s.qlen[link]--
 	s.queuedPkts--
 	if s.qlen[link] == 0 {
@@ -594,18 +538,18 @@ func (s *Sim) qpop(link, vc int32) int32 {
 
 func (s *Sim) srcPush(term, id int32) {
 	q := &s.srcQueue[term]
-	if q.len() == 0 {
+	if q.Len() == 0 {
 		s.srcActive[term>>6] |= 1 << (uint(term) & 63)
 	}
-	q.push(id)
+	q.Push(id)
 	s.srcQueued++
 }
 
 func (s *Sim) srcPop(term int32) int32 {
 	q := &s.srcQueue[term]
-	id := q.pop()
+	id := q.Pop()
 	s.srcQueued--
-	if q.len() == 0 {
+	if q.Len() == 0 {
 		s.srcActive[term>>6] &^= 1 << (uint(term) & 63)
 	}
 	return id
@@ -684,7 +628,7 @@ func (s *Sim) drainEjections(measuring bool, sampleLatSum, sampleCount *int64) {
 		}
 		for ; m != 0; m &= m - 1 {
 			link := int32(w<<6 + bits.TrailingZeros64(m))
-			vc := s.pickVC(link)
+			vc, _ := s.vq.Pick(link)
 			if vc < 0 {
 				continue
 			}
@@ -734,11 +678,10 @@ func (s *Sim) forwardNetwork() {
 			if s.faults != nil && s.faults.LinkDown(link) {
 				continue
 			}
-			vc := s.pickVC(link)
+			vc, id := s.vq.Pick(link)
 			if vc < 0 {
 				continue
 			}
-			id := s.queues[link][vc].peek()
 			p := &s.pkts[id]
 			nextLink, nextVC := s.nextHopOf(p)
 			if s.faults != nil && s.faults.LinkDown(nextLink) {
@@ -780,8 +723,7 @@ func (s *Sim) injectSources() {
 		m := s.srcActive[w]
 		for ; m != 0; m &= m - 1 {
 			term := int32(w<<6 + bits.TrailingZeros64(m))
-			q := &s.srcQueue[term]
-			id := q.peek()
+			id := s.srcQueue[term].Peek()
 			p := &s.pkts[id]
 			if p.path != nil && s.faults != nil && len(p.links) > 0 &&
 				s.faults.LinkDown(p.links[0]) {
@@ -859,57 +801,6 @@ func (s *Sim) admit(term, dstTerm int32) {
 		links: s.pkts[id].links[:0]}
 	s.srcPush(term, id)
 	s.injected++
-}
-
-// pickVC round-robins over the link's VCs and returns one with a queued
-// packet, or -1. The winner is resolved from the link's nonempty-VC
-// bitmask with bits.TrailingZeros64 — O(mask words) instead of O(numVC) —
-// and is exactly the VC the old modulo scan starting at rrVC would pick.
-func (s *Sim) pickVC(link int32) int32 {
-	base := int(link) * s.maskWords
-	start := s.rrVC[link]
-	if s.maskWords == 1 {
-		m := s.vcMask[base]
-		if m == 0 {
-			return -1
-		}
-		var vc int32
-		if hi := m >> uint(start); hi != 0 {
-			vc = start + int32(bits.TrailingZeros64(hi))
-		} else {
-			vc = int32(bits.TrailingZeros64(m)) // wrap below start
-		}
-		s.rrVC[link] = (vc + 1) % int32(s.numVC)
-		return vc
-	}
-	return s.pickVCWide(base, start, link)
-}
-
-// pickVCWide handles links with more than 64 VCs: the start word's upper
-// bits, then the remaining words in circular order, then the start word's
-// bits below the round-robin pointer.
-func (s *Sim) pickVCWide(base int, start, link int32) int32 {
-	found := func(vc int32) int32 {
-		s.rrVC[link] = (vc + 1) % int32(s.numVC)
-		return vc
-	}
-	sw, sb := int(start)>>6, uint(start)&63
-	if m := s.vcMask[base+sw] >> sb; m != 0 {
-		return found(start + int32(bits.TrailingZeros64(m)))
-	}
-	for i := 1; i < s.maskWords; i++ {
-		w := sw + i
-		if w >= s.maskWords {
-			w -= s.maskWords
-		}
-		if m := s.vcMask[base+w]; m != 0 {
-			return found(int32(w<<6 + bits.TrailingZeros64(m)))
-		}
-	}
-	if m := s.vcMask[base+sw] & (1<<sb - 1); m != 0 {
-		return found(int32(sw<<6 + bits.TrailingZeros64(m)))
-	}
-	return -1
 }
 
 // firstLinkOf returns the first network link (or the ejection link for

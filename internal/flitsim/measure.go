@@ -126,11 +126,11 @@ func (s *Sim) Dropped() int64 { return s.dropped }
 func (s *Sim) QueuedPackets() int64 {
 	var total int64
 	for i := range s.srcQueue {
-		total += int64(s.srcQueue[i].len())
+		total += int64(s.srcQueue[i].Len())
 	}
-	for _, link := range s.queues {
-		for vc := range link {
-			total += int64(link[vc].len())
+	for link := int32(0); int(link) < len(s.occ); link++ {
+		for vc := int32(0); int(vc) < s.numVC; vc++ {
+			total += int64(s.vq.Len(link, vc))
 		}
 	}
 	for _, slot := range s.inflight.slots {

@@ -33,7 +33,7 @@ func BenchmarkChoose(b *testing.B) {
 	for i := range occ {
 		occ[i] = int32(load.IntN(50))
 	}
-	est := &flitLikeEstimator{g: g, occ: occ}
+	est := NewOccupancyEstimator(g, occ)
 
 	var pairs [][2]graph.NodeID
 	for s := 0; s < g.NumNodes(); s++ {

@@ -6,11 +6,11 @@ import (
 	"repro/internal/graph"
 )
 
-// The simulators back LoadEstimator with their own queue state (flitsim:
-// credit occupancy, appsim: first-hop queue estimate). Hosts that route
-// without a simulation behind them — above all the jfserve daemon —
-// need standalone estimators. Three are provided, resolvable by name
-// through EstimatorByName:
+// Both simulators back LoadEstimator with OccupancyEstimator over their
+// own per-link occupancy (flitsim: committed credit occupancy, appsim:
+// queued packets). Hosts that route without a simulation behind them —
+// above all the jfserve daemon — need standalone estimators. Three are
+// provided, resolvable by name through EstimatorByName:
 //
 //   - "zero": every path costs 0 (load-oblivious choice; with
 //     KSP-adaptive this degenerates to random-of-two);
@@ -19,6 +19,48 @@ import (
 //   - "link-load": the UGAL-style estimate over a decaying count of how
 //     often each directed first link was recently chosen — the serving
 //     analogue of the simulators' queue occupancy.
+
+// OccupancyEstimator is the simulators' congestion signal: the paper's
+// UGAL-style (occupancy of the path's first network link) × (hop count)
+// over the caller's per-link occupancy slice. Held by pointer, passing it
+// as a LoadEstimator allocates nothing. The first link resolves in O(1)
+// through a row of the link ids out of the last priced source (n int32,
+// not an n² table), rebuilt when the source changes: at most once per
+// Choose, whose candidates share a source. Not safe for concurrent use.
+type OccupancyEstimator struct {
+	g   *graph.Graph
+	occ []int32
+	src graph.NodeID // the source row describes; -1 before the first call
+	row []int32      // row[v] = LinkID(src, v) for every neighbour v of src
+}
+
+// NewOccupancyEstimator prices paths of g by occ, indexed by directed link
+// id. occ is read on every call, so the caller keeps updating it in place.
+func NewOccupancyEstimator(g *graph.Graph, occ []int32) *OccupancyEstimator {
+	return &OccupancyEstimator{g: g, occ: occ, src: -1, row: make([]int32, g.NumNodes())}
+}
+
+// PathCost implements LoadEstimator: first-link occupancy × hop count.
+func (e *OccupancyEstimator) PathCost(p graph.Path) int {
+	h := p.Hops()
+	if h <= 0 {
+		return 0
+	}
+	return int(e.occ[e.FirstLink(p)]) * h
+}
+
+// FirstLink returns the directed link id of the path's first edge,
+// LinkID(p[0], p[1]), for a path of at least one hop.
+func (e *OccupancyEstimator) FirstLink(p graph.Path) int32 {
+	if p[0] != e.src {
+		e.src = p[0]
+		lo, hi := e.g.LinkRange(e.src)
+		for l := lo; l < hi; l++ {
+			e.row[e.g.LinkTarget(l)] = l
+		}
+	}
+	return e.row[p[1]]
+}
 
 // ZeroEstimator costs every path 0.
 type ZeroEstimator struct{}

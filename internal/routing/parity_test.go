@@ -12,37 +12,23 @@ import (
 )
 
 // The cross-simulator parity test. Both simulators route through this
-// package's Choose code, differing only in how they back LoadEstimator:
-// flitsim exposes its credit-derived occupancy through Sim.PathCost,
-// appsim its first-hop queue estimate through firstHopLoad. Both compute
-// "occupancy of the path's first network link times hop count", so two
-// structurally different estimators over the same occupancy values must
-// yield identical (path, candidate index) sequences for every mechanism
-// under identical seeds and candidate sets — healthy and degraded alike.
+// package's Choose code and price candidates with one OccupancyEstimator
+// over their own per-link occupancy, so what must hold is that the
+// estimator's cached first-link row prices exactly like the definition
+// it caches. linkIDEstimator is that definition, resolving every first
+// link with graph.LinkID's binary search; it serves as the oracle.
+// Identical seeds, candidate sets and occupancy must yield identical
+// (path, candidate index) sequences for every mechanism, healthy and
+// degraded alike.
 
-// flitLikeEstimator mirrors flitsim's Sim.PathCost: a method on the
-// "simulator" struct reading a credit-occupancy slice.
-type flitLikeEstimator struct {
+// linkIDEstimator is the oracle: first-link occupancy × hop count, with
+// the first link found by graph.LinkID.
+type linkIDEstimator struct {
 	g   *graph.Graph
 	occ []int32
 }
 
-func (e *flitLikeEstimator) PathCost(p graph.Path) int {
-	h := p.Hops()
-	if h <= 0 {
-		return 0
-	}
-	return int(e.occ[e.g.LinkID(p[0], p[1])]) * h
-}
-
-// appLikeEstimator mirrors appsim's firstHopLoad: a value type over a
-// queue-occupancy slice.
-type appLikeEstimator struct {
-	g   *graph.Graph
-	occ []int32
-}
-
-func (e appLikeEstimator) PathCost(p graph.Path) int {
+func (e *linkIDEstimator) PathCost(p graph.Path) int {
 	h := p.Hops()
 	if h <= 0 {
 		return 0
@@ -64,12 +50,11 @@ func TestCrossSimulatorParity(t *testing.T) {
 	g := topo.G
 	db := paths.NewDB(g, ksp.Config{Alg: ksp.REDKSP, K: k}, 1)
 
-	// One shared occupancy array: the two estimators read the same load
-	// state through different code paths, as the simulators do when fed
-	// the same load estimates.
+	// One occupancy array read by both estimators through different code
+	// paths.
 	occ := make([]int32, g.NumDirectedLinks())
-	flitEst := &flitLikeEstimator{g: g, occ: occ}
-	appEst := appLikeEstimator{g: g, occ: occ}
+	oracle := &linkIDEstimator{g: g, occ: occ}
+	shared := NewOccupancyEstimator(g, occ)
 
 	// Kill every link of one candidate path mid-run for the degraded
 	// phase; both runs share the schedule (schedules are immutable).
@@ -99,18 +84,27 @@ func TestCrossSimulatorParity(t *testing.T) {
 			rngA, rngB := xrand.New(seed), xrand.New(seed)
 
 			// drive feeds both engines the identical (src, dst) request
-			// stream while churning the shared load state.
+			// stream while churning the shared load state. Between
+			// choices it prices every candidate of another random pair
+			// directly, so the shared estimator's row is rebuilt for a
+			// different source before most choices.
 			drive := func(phase string) {
 				traffic := xrand.New(99)
 				for i := 0; i < draws; i++ {
 					occ[traffic.IntN(len(occ))] = int32(traffic.IntN(50))
 					src := graph.NodeID(traffic.IntN(g.NumNodes()))
 					dst := graph.NodeID(traffic.IntN(g.NumNodes()))
-					pA, iA := stateA.Choose(&viewA, src, dst, flitEst, rngA)
-					pB, iB := stateB.Choose(&viewB, src, dst, appEst, rngB)
+					pA, iA := stateA.Choose(&viewA, src, dst, oracle, rngA)
+					pB, iB := stateB.Choose(&viewB, src, dst, shared, rngB)
 					if iA != iB || !pA.Equal(pB) || (pA == nil) != (pB == nil) {
-						t.Fatalf("%s draw %d (%d->%d): flit-like chose %v (idx %d), app-like chose %v (idx %d)",
+						t.Fatalf("%s draw %d (%d->%d): oracle chose %v (idx %d), shared estimator chose %v (idx %d)",
 							phase, i, src, dst, pA, iA, pB, iB)
+					}
+					other := graph.NodeID(traffic.IntN(g.NumNodes()))
+					for _, p := range db.Paths(other, src) {
+						if a, b := oracle.PathCost(p), shared.PathCost(p); a != b {
+							t.Fatalf("%s draw %d: path %v costs %d by LinkID, %d by the cached row", phase, i, p, a, b)
+						}
 					}
 				}
 			}

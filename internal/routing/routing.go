@@ -9,8 +9,9 @@
 // *selection* (which k candidates exist per pair — internal/paths plus
 // the fault-time liveness masks of internal/faults, both wrapped by
 // View) is separated from load-aware path *choice* (a Mechanism picking
-// one candidate per packet, reading congestion through a LoadEstimator
-// the host simulator backs with its own queue-occupancy signal).
+// one candidate per packet, reading congestion through a LoadEstimator;
+// both simulators pass one OccupancyEstimator over their own per-link
+// occupancy).
 //
 // Both simulators call the exact same Choose code with their own seeded
 // RNG, so identical seeds, candidate sets and load estimates yield
@@ -26,10 +27,9 @@ import (
 )
 
 // LoadEstimator is the congestion signal a mechanism compares candidate
-// paths with. flitsim backs it with credit/queue committed occupancy;
-// appsim backs it with its first-hop queue estimate. Both use the
-// paper's UGAL-style estimate: (occupancy of the path's first network
-// link) x (hop count), with zero-hop paths costing 0.
+// paths with. Both simulators pass an OccupancyEstimator, the paper's
+// UGAL-style estimate over their per-link occupancy; estimators.go has
+// the standalone ones for hosts without a simulation behind them.
 type LoadEstimator interface {
 	PathCost(p graph.Path) int
 }
