@@ -3,13 +3,15 @@
 # and the fault-injection paths, full build. gofmt and go vet always run;
 # staticcheck/govulncheck are optional-when-installed (see lint).
 #
-# check does not run benchmarks (too noisy for a gate). `make bench`
+# check times no benchmark (too noisy for a gate), but bench-smoke runs
+# each package microbenchmark once so an API change cannot break one
+# unnoticed. `make bench`
 # runs jfbench, the repository's one benchmark (internal/bench/README.md),
 # over every workload and then the `go test -bench` microbenchmarks.
 # Compare two jfbench results files with `make bench-diff BASE=a.json
 # NEW=b.json`: several repetitions, alternating which commit runs first,
 # on an idle machine, before trusting a delta (docs/PERFORMANCE.md).
-.PHONY: check build test bench bench-check bench-diff fmt lint race-graph race-faults race-paths race-serve race-serve-v2 race-chaos race-flit-events flit-event-smoke fuzz serve-smoke chaos-smoke docs-check
+.PHONY: check build test bench bench-check bench-diff bench-smoke fmt lint race-graph race-faults race-paths race-serve race-serve-v2 race-chaos race-flit-events flit-event-smoke fuzz serve-smoke chaos-smoke docs-check
 
 check: fmt lint
 	go vet ./...
@@ -22,6 +24,7 @@ check: fmt lint
 	$(MAKE) race-chaos
 	$(MAKE) race-flit-events
 	$(MAKE) flit-event-smoke
+	$(MAKE) bench-smoke
 	$(MAKE) fuzz
 	$(MAKE) serve-smoke
 	$(MAKE) docs-check
@@ -98,6 +101,13 @@ race-flit-events:
 # both modes consume zero injection randomness) must be bit-identical.
 flit-event-smoke:
 	go test -count=1 -run 'EventCycleEquivalence|ResultGolden' ./internal/flitsim
+
+# Every Benchmark* under internal/ once (BenchmarkChoose, BenchmarkFlit,
+# BenchmarkSelectors, BenchmarkReplay, ...), a few seconds in all: a gate
+# that they still compile and run, not a measurement. The root package's
+# per-artifact benchmarks take minutes and stay out.
+bench-smoke:
+	go test -count=1 -run '^$$' -bench . -benchtime 1x ./internal/...
 
 # End-to-end daemon smoke: in-process server on a real Unix socket,
 # every protocol op through the Go client, one raw error frame, clean
