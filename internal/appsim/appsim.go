@@ -320,21 +320,22 @@ func Run(cfg Config) (Result, error) {
 	space := func(link, vc int32) bool {
 		return int(occVC[int(link)*numVC+int(vc)]) < cfg.BufDepth
 	}
-	commit := func(link, vc int32) {
+	// enqueue and dequeue move a packet into and out of (link, vc), taking
+	// and releasing its buffer slot. Because router/NIC delays are zero,
+	// channel traversal is immediate: a packet sent on a link this cycle
+	// enters the next queue this cycle but cannot be forwarded again until
+	// the next cycle (store and forward), so enqueue stamps the cycle into
+	// the packet for that check.
+	enqueue := func(link, vc, id int32) {
 		occ[link]++
 		occVC[int(link)*numVC+int(vc)]++
-	}
-	uncommit := func(link, vc int32) {
-		occ[link]--
-		occVC[int(link)*numVC+int(vc)]--
-	}
-	// Because router/NIC delays are zero, channel traversal is immediate:
-	// a packet sent on a link this cycle enters the next queue this cycle
-	// but cannot be forwarded again until the next cycle (store and
-	// forward). enqueue stamps the cycle into the packet for that check.
-	enqueue := func(link, vc, id int32) {
 		vq.Push(link, vc, id)
 		pkts[id].movedAt = clock
+	}
+	dequeue := func(link, vc int32) int32 {
+		occ[link]--
+		occVC[int(link)*numVC+int(vc)]--
+		return vq.Pop(link, vc)
 	}
 	// The routing engine sees appsim's congestion through the first-link
 	// queue occupancy and its path state through a View over the path DB
@@ -417,8 +418,7 @@ func Run(cfg Config) (Result, error) {
 			for _, link := range [2]int32{down, g.ReverseLink(down)} {
 				for vc := int32(0); int(vc) < numVC; vc++ {
 					for vq.Len(link, vc) > 0 {
-						id := vq.Pop(link, vc)
-						uncommit(link, vc)
+						id := dequeue(link, vc)
 						p := &pkts[id]
 						handleFault(id, p.path[p.hop])
 					}
@@ -449,7 +449,6 @@ func Run(cfg Config) (Result, error) {
 				kept = append(kept, id)
 				continue
 			}
-			commit(link, 0)
 			enqueue(link, 0, id)
 		}
 		rerouteQ = kept
@@ -496,8 +495,7 @@ func Run(cfg Config) (Result, error) {
 					if pkts[id].movedAt == clock {
 						continue // store-and-forward: arrived this cycle
 					}
-					vq.Pop(link, vc)
-					uncommit(link, vc)
+					dequeue(link, vc)
 					if tel != nil {
 						tel.CountForward(link)
 					}
@@ -537,8 +535,7 @@ func Run(cfg Config) (Result, error) {
 				if fst != nil && fst.LinkDown(nextLink) {
 					// The packet's next hop died while it was queued here:
 					// pull it and reroute/drop from its current switch.
-					vq.Pop(link, vc)
-					uncommit(link, vc)
+					dequeue(link, vc)
 					handleFault(id, p.path[p.hop])
 					continue
 				}
@@ -548,9 +545,7 @@ func Run(cfg Config) (Result, error) {
 					}
 					continue
 				}
-				vq.Pop(link, vc)
-				uncommit(link, vc)
-				commit(nextLink, nextVC)
+				dequeue(link, vc)
 				if tel != nil {
 					tel.CountForward(link)
 				}
@@ -599,7 +594,6 @@ func Run(cfg Config) (Result, error) {
 						}
 						id := alloc()
 						pkts[id] = pkt{path: path, dstTerm: f.dstTerm, flowIdx: f.flowIdx, next: -1}
-						commit(link, 0)
 						enqueue(link, 0, id)
 						if tel != nil {
 							tel.CountForward(int32(numNet + numTerm + int(term)))
