@@ -11,7 +11,7 @@
 # Compare two jfbench results files with `make bench-diff BASE=a.json
 # NEW=b.json`: several repetitions, alternating which commit runs first,
 # on an idle machine, before trusting a delta (docs/PERFORMANCE.md).
-.PHONY: check build test bench bench-check bench-diff bench-smoke fmt lint race-graph race-faults race-paths race-serve race-serve-v2 race-chaos race-flit-events flit-event-smoke fuzz serve-smoke chaos-smoke docs-check
+.PHONY: check build test bench bench-check bench-diff bench-smoke fmt lint race-graph race-faults race-paths race-serve race-serve-v2 race-chaos goldens fuzz serve-smoke chaos-smoke docs-check
 
 check: fmt lint
 	go vet ./...
@@ -22,8 +22,7 @@ check: fmt lint
 	$(MAKE) race-serve
 	$(MAKE) race-serve-v2
 	$(MAKE) race-chaos
-	$(MAKE) race-flit-events
-	$(MAKE) flit-event-smoke
+	$(MAKE) goldens
 	$(MAKE) bench-smoke
 	$(MAKE) fuzz
 	$(MAKE) serve-smoke
@@ -87,20 +86,13 @@ race-serve-v2:
 race-chaos:
 	go test -race -count=1 -run Chaos ./internal/serve/chaos
 
-# The event-driven advance jumps the clock over idle spans while the
-# fault schedule mutates link state; run the low-load event-driven fault
-# test under the race detector so clock jumps and fault events stay
-# correctly ordered.
-race-flit-events:
-	go test -race -count=1 -run 'EventDrivenFault|EventCycle|StepContract' ./internal/flitsim
-
-# Golden-equivalence smoke: both modes must reproduce their committed
-# goldens field by field; event-driven vs cycle-stepped at the three
-# golden loads (0.05, 0.30, 0.90) must agree on saturation verdicts and
-# delivered throughput, and the exact-equivalence run (rate-1 SP, where
-# both modes consume zero injection randomness) must be bit-identical.
-flit-event-smoke:
-	go test -count=1 -run 'EventCycleEquivalence|ResultGolden' ./internal/flitsim
+# Every committed golden, uncached: the flitsim and appsim result
+# goldens, the selector path-set golden, the paths cache fixtures, the
+# graph and jellyfish fingerprints, the telemetry export, the binary
+# wire fixtures and the fault failure sets. Each pins behaviour bit for
+# bit, so a refactor that moves any of them fails here.
+goldens:
+	go test -count=1 -run Golden ./...
 
 # Every Benchmark* under internal/ once (BenchmarkChoose, BenchmarkFlit,
 # BenchmarkSelectors, BenchmarkReplay, ...), a few seconds in all: a gate

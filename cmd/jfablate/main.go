@@ -16,7 +16,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/cliflags"
 	"repro/internal/exp"
 	"repro/internal/flitsim"
 	"repro/internal/jellyfish"
@@ -37,7 +36,6 @@ func main() {
 		seed           = flag.Uint64("seed", 1, "experiment seed")
 		workers        = flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
 		csv            = flag.Bool("csv", false, "emit CSV instead of aligned text")
-		eventDriven    = cliflags.EventDriven()
 	)
 	flag.Parse()
 
@@ -57,7 +55,6 @@ func main() {
 		K:              *k,
 		Seed:           *seed,
 		Workers:        *workers,
-		EventDriven:    *eventDriven,
 	}
 
 	var t *stats.Table

@@ -45,7 +45,6 @@ func main() {
 		csv            = flag.Bool("csv", false, "emit CSV instead of aligned text")
 		chart          = flag.Bool("chart", false, "render saturation results as a text bar chart")
 		pathCache      = cliflags.PathCache()
-		eventDriven    = cliflags.EventDriven()
 		prof           = cliflags.ProfileFlags()
 	)
 	flag.Parse()
@@ -80,7 +79,6 @@ func main() {
 		Seed:           *seed,
 		Workers:        *workers,
 		PathCache:      *pathCache,
-		EventDriven:    *eventDriven,
 	}
 
 	var t *stats.Table

@@ -57,11 +57,10 @@ func main() {
 		pattern   = flag.String("pattern", "permutation", "traffic pattern for -telemetry: permutation, shift or uniform")
 		rate      = flag.Float64("rate", 0.7, "offered load for -telemetry, in [0,1]")
 
-		faultFlags  = cliflags.FaultFlags()
-		faultSweep  = flag.String("fault-sweep", "", "comma-separated failed-link counts: run delivered-throughput vs. failures for all selectors and mechanisms")
-		pathCache   = cliflags.PathCache()
-		eventDriven = cliflags.EventDriven()
-		prof        = cliflags.ProfileFlags()
+		faultFlags = cliflags.FaultFlags()
+		faultSweep = flag.String("fault-sweep", "", "comma-separated failed-link counts: run delivered-throughput vs. failures for all selectors and mechanisms")
+		pathCache  = cliflags.PathCache()
+		prof       = cliflags.ProfileFlags()
 	)
 	flag.Parse()
 
@@ -74,13 +73,13 @@ func main() {
 	defer prof.Stop()
 
 	if *faultSweep != "" {
-		if err := runFaultSweep(*faultSweep, *topos, *pattern, *faultFlags.Policy, *rate, *k, *topoSamples, *seed, *workers, *pathCache, *eventDriven, *csv); err != nil {
+		if err := runFaultSweep(*faultSweep, *topos, *pattern, *faultFlags.Policy, *rate, *k, *topoSamples, *seed, *workers, *pathCache, *csv); err != nil {
 			fatal(err)
 		}
 		return
 	}
 	if *tel.Dir != "" {
-		if err := runTelemetry(*tel.Dir, *topos, *tel.Selector, *mechanism, *pattern, *faultFlags.Spec, *faultFlags.Policy, *rate, *k, *seed, *workers, *pathCache, *eventDriven); err != nil {
+		if err := runTelemetry(*tel.Dir, *topos, *tel.Selector, *mechanism, *pattern, *faultFlags.Spec, *faultFlags.Policy, *rate, *k, *seed, *workers, *pathCache); err != nil {
 			fatal(err)
 		}
 		return
@@ -140,7 +139,7 @@ func main() {
 
 // runTelemetry executes one instrumented cycle-level run and exports the
 // telemetry files. The first topology of -topos is used.
-func runTelemetry(dir, topos, selector, mechanism, pattern, faultSpec, faultPolicy string, rate float64, k int, seed uint64, workers int, pathCache string, eventDriven bool) error {
+func runTelemetry(dir, topos, selector, mechanism, pattern, faultSpec, faultPolicy string, rate float64, k int, seed uint64, workers int, pathCache string) error {
 	params, err := jellyfish.ByName(strings.TrimSpace(strings.Split(topos, ",")[0]))
 	if err != nil {
 		return err
@@ -161,7 +160,7 @@ func runTelemetry(dir, topos, selector, mechanism, pattern, faultSpec, faultPoli
 		Rate:        rate,
 		FaultSpec:   faultSpec,
 		FaultPolicy: faultPolicy,
-	}, exp.Scale{K: k, Seed: seed, Workers: workers, PathCache: pathCache, EventDriven: eventDriven})
+	}, exp.Scale{K: k, Seed: seed, Workers: workers, PathCache: pathCache})
 	if err != nil {
 		return err
 	}
@@ -190,7 +189,7 @@ func runTelemetry(dir, topos, selector, mechanism, pattern, faultSpec, faultPoli
 
 // runFaultSweep runs the dynamic fault-injection experiment on the first
 // topology of -topos and prints one table per routing mechanism.
-func runFaultSweep(counts, topos, pattern, faultPolicy string, rate float64, k, topoSamples int, seed uint64, workers int, pathCache string, eventDriven, csv bool) error {
+func runFaultSweep(counts, topos, pattern, faultPolicy string, rate float64, k, topoSamples int, seed uint64, workers int, pathCache string, csv bool) error {
 	params, err := jellyfish.ByName(strings.TrimSpace(strings.Split(topos, ",")[0]))
 	if err != nil {
 		return err
@@ -213,7 +212,7 @@ func runFaultSweep(counts, topos, pattern, faultPolicy string, rate float64, k, 
 		FailedLinks:   failed,
 		InjectionRate: rate,
 		Policy:        policy,
-	}, exp.Scale{TopoSamples: topoSamples, K: k, Seed: seed, Workers: workers, PathCache: pathCache, EventDriven: eventDriven})
+	}, exp.Scale{TopoSamples: topoSamples, K: k, Seed: seed, Workers: workers, PathCache: pathCache})
 	if err != nil {
 		return err
 	}

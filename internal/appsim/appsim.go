@@ -59,7 +59,7 @@ type Config struct {
 	LinkBandwidth float64
 	// BufDepth is the per-VC buffer depth in packets (default 64).
 	BufDepth int
-	// NumVCs is the VC count (0 = derive from diameter).
+	// NumVCs is the VC count (0 = routing.VCBudget for the mechanism).
 	NumVCs int
 	// Seed drives path randomization.
 	Seed uint64
@@ -190,11 +190,7 @@ func Run(cfg Config) (Result, error) {
 	numNet := g.NumDirectedLinks()
 	numVC := cfg.NumVCs
 	if numVC == 0 {
-		m := graph.ComputeMetrics(g, 0)
-		numVC = 2*int(m.Diameter) + 2
-		if mech.NonMinimal() {
-			numVC = 3*int(m.Diameter) + 2
-		}
+		numVC = routing.VCBudget(graph.ComputeMetrics(g, 0).Diameter, mech.NonMinimal())
 	}
 
 	// Per-terminal flow lists and the total packet budget. Each iteration

@@ -148,18 +148,6 @@ func PathCache() *string {
 		"directory for the on-disk path-DB cache (empty = recompute paths in-process)")
 }
 
-// EventDriven registers the -event-driven flag shared by the binaries
-// that run the cycle-level simulator. When set, every simulation uses
-// flitsim's event-driven advance: the clock jumps over idle spans and
-// injection comes from a geometric next-arrival sampler instead of the
-// per-cycle Bernoulli scan. Results are statistically equivalent to the
-// cycle-stepped default but not bit-identical (the injection RNG stream
-// differs); see docs/PERFORMANCE.md ("Event-driven advance").
-func EventDriven() *bool {
-	return flag.Bool("event-driven", false,
-		"advance the flit simulator event-to-event instead of cycle-by-cycle (statistically equivalent, faster at low load)")
-}
-
 // Listen registers the -listen flag used by the serving binaries: a
 // listener spec of the form "unix:<socket path>" or "tcp:<host:port>",
 // parsed by serve.SplitListenSpec (wire protocol: docs/SERVICE.md).

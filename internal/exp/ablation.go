@@ -38,6 +38,11 @@ func AblationKSweep(params jellyfish.Params, ks []int, sc Scale) (*KSweepResult,
 	if err != nil {
 		return nil, err
 	}
+	for _, k := range ks {
+		if k < 1 {
+			return nil, fmt.Errorf("exp: k %d out of range (want >= 1)", k)
+		}
+	}
 	res := &KSweepResult{
 		Params:    params,
 		Pattern:   "shift",
@@ -103,8 +108,7 @@ func AblationUGALBias(params jellyfish.Params, biases []int, rates []float64, sc
 	if err != nil {
 		return nil, err
 	}
-	m := graph.ComputeMetrics(topo.G, sc.Workers)
-	numVC := 3*int(m.Diameter) + 2
+	numVC := routing.VCBudget(graph.ComputeMetrics(topo.G, sc.Workers).Diameter, true)
 	db, err := sc.pathDB(topo, ksp.REDKSP, 0)
 	if err != nil {
 		return nil, err
@@ -118,13 +122,12 @@ func AblationUGALBias(params jellyfish.Params, biases []int, rates []float64, sc
 			routing.VanillaUGALBiased(bias), routing.KSPUGALBiased(bias),
 		} {
 			base := flitsim.Config{
-				Topo:        topo,
-				Paths:       db,
-				Mechanism:   mech,
-				Traffic:     sampler,
-				NumVCs:      numVC,
-				Seed:        xrand.Mix64(sc.Seed ^ uint64(bi)<<16 ^ uint64(mi)),
-				EventDriven: sc.EventDriven,
+				Topo:      topo,
+				Paths:     db,
+				Mechanism: mech,
+				Traffic:   sampler,
+				NumVCs:    numVC,
+				Seed:      xrand.Mix64(sc.Seed ^ uint64(bi)<<16 ^ uint64(mi)),
 			}
 			res.Sat[bi][mi] = saturationSeq(base, rates)
 		}

@@ -32,7 +32,7 @@ type Scale struct {
 	// (0 = all ordered pairs; the paper's cluster runs used all pairs, a
 	// laptop will want sampling on RRG(2880,48,38)).
 	PairSample int
-	// K is the paths per pair (paper: 8).
+	// K is the paths per pair (paper: 8; 0 = 8).
 	K int
 	// Workers bounds parallelism (<= 0 = GOMAXPROCS).
 	Workers int
@@ -44,15 +44,10 @@ type Scale struct {
 	// combination pays an eager all-pairs build and writes a cache file;
 	// every later run streams the packed store back in. See docs/PATHS.md.
 	PathCache string
-	// EventDriven selects the simulator's event-driven advance
-	// (flitsim.Config.EventDriven) for every cycle-level run the
-	// experiment spawns. Statistically equivalent, not bit-identical; see
-	// docs/PERFORMANCE.md ("Event-driven advance").
-	EventDriven bool
 }
 
-// withDefaults rejects negative sample counts and fills the zero-valued
-// fields. Every experiment entry point runs it first.
+// withDefaults rejects negative sample counts and a negative k, and fills
+// the zero-valued fields. Every experiment entry point runs it first.
 func (sc Scale) withDefaults() (Scale, error) {
 	switch {
 	case sc.TopoSamples < 0:
@@ -61,6 +56,8 @@ func (sc Scale) withDefaults() (Scale, error) {
 		return sc, fmt.Errorf("exp: pattern samples %d out of range (want >= 0)", sc.PatternSamples)
 	case sc.PairSample < 0:
 		return sc, fmt.Errorf("exp: pair sample %d out of range (want >= 0)", sc.PairSample)
+	case sc.K < 0:
+		return sc, fmt.Errorf("exp: k %d out of range (want >= 0)", sc.K)
 	}
 	if sc.TopoSamples == 0 {
 		sc.TopoSamples = 1

@@ -81,6 +81,32 @@ func TestNegativeSampleCountsRejected(t *testing.T) {
 	}
 }
 
+// TestOutOfRangeArgumentsRejected checks that k values and failure counts
+// a study cannot run are refused with a range error before any work:
+// k = 0 in a k sweep (which the Scale default would silently turn into
+// 8), negative k and negative failure counts (which would panic deeper
+// down).
+func TestOutOfRangeArgumentsRejected(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"AblationKSweep/k=0", func() error { _, err := AblationKSweep(tiny, []int{0}, tinyScale()); return err }},
+		{"AblationKSweep/k=-2", func() error { _, err := AblationKSweep(tiny, []int{-2}, tinyScale()); return err }},
+		{"FaultResilience/failures=-1", func() error { _, err := FaultResilience(tiny, []int{-1}, tinyScale()); return err }},
+		{"Scale.K=-1", func() error {
+			_, err := ModelThroughput(ModelConfig{Params: tiny, Patterns: []string{"shift"}}, Scale{K: -1})
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.run(); err == nil || !strings.Contains(err.Error(), "out of range") {
+				t.Fatalf("err = %v, want a range error", err)
+			}
+		})
+	}
+}
+
 func TestTableI(t *testing.T) {
 	rows, err := TableI([]jellyfish.Params{tiny}, tinyScale())
 	if err != nil {

@@ -48,6 +48,12 @@ func FaultResilience(params jellyfish.Params, failedLinks []int, sc Scale) (*Fau
 	if err != nil {
 		return nil, err
 	}
+	nEdges := topo.G.NumEdges()
+	for _, f := range failedLinks {
+		if f < 0 || f > nEdges {
+			return nil, fmt.Errorf("exp: failed-link count %d out of range [0, %d]", f, nEdges)
+		}
+	}
 	var prs []paths.Pair
 	if sc.PairSample > 0 {
 		prs = paths.SamplePairs(params.N, sc.PairSample, xrand.New(sc.Seed^0xfa17))
@@ -68,15 +74,11 @@ func FaultResilience(params jellyfish.Params, failedLinks []int, sc Scale) (*Fau
 			return nil, err
 		}
 	}
-	nEdges := topo.G.NumEdges()
 	res.Survive = make([][]float64, len(failedLinks))
 	res.MeanSurvivingPaths = make([][]float64, len(failedLinks))
 	for fi, f := range failedLinks {
 		res.Survive[fi] = make([]float64, len(ksp.Algorithms))
 		res.MeanSurvivingPaths[fi] = make([]float64, len(ksp.Algorithms))
-		if f > nEdges {
-			return nil, fmt.Errorf("exp: cannot fail %d of %d links", f, nEdges)
-		}
 		for trial := 0; trial < sc.Trials(); trial++ {
 			failed := failureSet(topo, f, xrand.NewPair(sc.Seed^uint64(fi)<<32, uint64(trial)))
 			for ai := range ksp.Algorithms {
@@ -252,8 +254,7 @@ func FaultRun(cfg FaultRunConfig, sc Scale) (*FaultRunResult, error) {
 		if cfg.NumVCs > 0 {
 			numVCs[ti] = cfg.NumVCs
 		} else {
-			m := graph.ComputeMetrics(topo.G, sc.Workers)
-			numVCs[ti] = 3*int(m.Diameter) + 2
+			numVCs[ti] = routing.VCBudget(graph.ComputeMetrics(topo.G, sc.Workers).Diameter, true)
 		}
 		dbs[ti] = make([]*paths.DB, len(ksp.Algorithms))
 		for ai, alg := range ksp.Algorithms {
@@ -314,7 +315,6 @@ func FaultRun(cfg FaultRunConfig, sc Scale) (*FaultRunResult, error) {
 			Seed:          xrand.Mix64(sc.Seed ^ uint64(j.ti)<<32 ^ uint64(j.pi)<<16 ^ uint64(j.fi)),
 			Faults:        scheds[j.ti][j.pi][j.fi],
 			FaultPolicy:   cfg.Policy,
-			EventDriven:   sc.EventDriven,
 		})
 		if err != nil {
 			errs[i] = err

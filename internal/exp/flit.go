@@ -100,8 +100,7 @@ func FlitSaturation(cfg FlitConfig, sc Scale) (*SaturationResult, error) {
 		if cfg.NumVCs > 0 {
 			numVCs[ti] = cfg.NumVCs
 		} else {
-			m := graph.ComputeMetrics(topo.G, sc.Workers)
-			numVCs[ti] = 3*int(m.Diameter) + 2
+			numVCs[ti] = routing.VCBudget(graph.ComputeMetrics(topo.G, sc.Workers).Diameter, true)
 		}
 		dbs[ti] = make([]*paths.DB, len(ksp.Algorithms))
 		for ai, alg := range ksp.Algorithms {
@@ -128,13 +127,12 @@ func FlitSaturation(cfg FlitConfig, sc Scale) (*SaturationResult, error) {
 			return
 		}
 		base := flitsim.Config{
-			Topo:        topo,
-			Paths:       dbs[j.ti][j.ai],
-			Mechanism:   mechs[j.mi],
-			Traffic:     sampler,
-			NumVCs:      numVCs[j.ti],
-			Seed:        xrand.Mix64(sc.Seed ^ uint64(i)<<16),
-			EventDriven: sc.EventDriven,
+			Topo:      topo,
+			Paths:     dbs[j.ti][j.ai],
+			Mechanism: mechs[j.mi],
+			Traffic:   sampler,
+			NumVCs:    numVCs[j.ti],
+			Seed:      xrand.Mix64(sc.Seed ^ uint64(i)<<16),
 		}
 		results[i] = saturationSeq(base, cfg.Rates)
 	})
@@ -222,8 +220,7 @@ func FlitLatencyCurve(cfg FlitConfig, mech routing.Mechanism, sc Scale) (*CurveR
 	}
 	numVC := cfg.NumVCs
 	if numVC == 0 {
-		m := graph.ComputeMetrics(topo.G, sc.Workers)
-		numVC = 3*int(m.Diameter) + 2
+		numVC = routing.VCBudget(graph.ComputeMetrics(topo.G, sc.Workers).Diameter, true)
 	}
 	sampler, err := samplerFor(cfg.Pattern, topo.NumTerminals(), sc.patternSeed(0, 0))
 	if err != nil {
@@ -235,13 +232,12 @@ func FlitLatencyCurve(cfg FlitConfig, mech routing.Mechanism, sc Scale) (*CurveR
 			return nil, err
 		}
 		base := flitsim.Config{
-			Topo:        topo,
-			Paths:       db,
-			Mechanism:   mech,
-			Traffic:     sampler,
-			NumVCs:      numVC,
-			Seed:        xrand.Mix64(sc.Seed ^ uint64(ai)<<24),
-			EventDriven: sc.EventDriven,
+			Topo:      topo,
+			Paths:     db,
+			Mechanism: mech,
+			Traffic:   sampler,
+			NumVCs:    numVC,
+			Seed:      xrand.Mix64(sc.Seed ^ uint64(ai)<<24),
 		}
 		runs := flitsim.Sweep(base, cfg.Rates, sc.Workers)
 		series := make([]float64, len(runs))

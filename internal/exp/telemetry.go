@@ -73,7 +73,7 @@ func FlitTelemetryRun(cfg FlitTelemetryConfig, sc Scale) (flitsim.Result, *telem
 	if err != nil {
 		return zero, nil, telemetry.Manifest{}, err
 	}
-	m := graph.ComputeMetrics(topo.G, sc.Workers)
+	numVC := routing.VCBudget(graph.ComputeMetrics(topo.G, sc.Workers).Diameter, true)
 	db, err := sc.pathDB(topo, cfg.Selector, 0)
 	if err != nil {
 		return zero, nil, telemetry.Manifest{}, err
@@ -85,12 +85,11 @@ func FlitTelemetryRun(cfg FlitTelemetryConfig, sc Scale) (flitsim.Result, *telem
 		Mechanism:     cfg.Mechanism,
 		Traffic:       sampler,
 		InjectionRate: cfg.Rate,
-		NumVCs:        3*int(m.Diameter) + 2,
+		NumVCs:        numVC,
 		Seed:          xrand.Mix64(sc.Seed ^ 0x74656c),
 		Telemetry:     col,
 		Faults:        sched,
 		FaultPolicy:   policy,
-		EventDriven:   sc.EventDriven,
 	})
 	if err != nil {
 		return zero, nil, telemetry.Manifest{}, err

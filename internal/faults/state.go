@@ -124,15 +124,6 @@ func (st *State) SetTelemetry(col *telemetry.Collector) { st.tel = col }
 // Policy returns the configured policy.
 func (st *State) Policy() Policy { return st.policy }
 
-// NextEventAt returns the cycle of the next unapplied event, or -1 when
-// the schedule is exhausted.
-func (st *State) NextEventAt() int64 {
-	if st.next >= len(st.events) {
-		return -1
-	}
-	return st.events[st.next].At
-}
-
 // Advance applies every event scheduled at or before clock and returns
 // the slice of newly applied events (nil when none fired). Down events on
 // an already-down edge and up events on an already-up edge are applied as

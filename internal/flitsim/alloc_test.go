@@ -18,12 +18,6 @@ func TestWheelSlotRecycling(t *testing.T) {
 	w.take(0)
 	w.schedule(5, arrival{pkt: 1}) // boundary: aliases slot index 0
 	w.schedule(3, arrival{pkt: 2})
-	if got := w.nextAt(); got != 3 {
-		t.Fatalf("nextAt = %d, want 3", got)
-	}
-	if w.count != 2 {
-		t.Fatalf("count = %d, want 2", w.count)
-	}
 	for now := int64(1); now <= 2; now++ {
 		if out := w.take(now); len(out) != 0 {
 			t.Fatalf("take(%d) returned %d arrivals", now, len(out))
@@ -34,16 +28,10 @@ func TestWheelSlotRecycling(t *testing.T) {
 		t.Fatalf("take(3) = %+v", out)
 	}
 	// The boundary arrival must still be intact and fire at 5.
-	if got := w.nextAt(); got != 5 {
-		t.Fatalf("nextAt = %d, want 5", got)
-	}
 	w.take(4)
 	out = w.take(5)
 	if len(out) != 1 || out[0].pkt != 1 {
 		t.Fatalf("take(5) = %+v", out)
-	}
-	if w.count != 0 || w.nextAt() != -1 {
-		t.Fatalf("drained wheel: count %d nextAt %d", w.count, w.nextAt())
 	}
 
 	// Aliasing regression: while iterating a just-taken slot, a boundary
@@ -79,18 +67,18 @@ func TestWheelSlotRecycling(t *testing.T) {
 
 // TestSteadyStateAllocsFlat is the long-run allocation regression for the
 // whole hot loop: after warmup (queues grown, packet pool populated, path
-// DB filled), stepping must allocate nothing in either mode.
+// DB filled), stepping must allocate nothing, whether the network is busy
+// or mostly empty (the sparse active-set scans at load 0.05).
 func TestSteadyStateAllocsFlat(t *testing.T) {
 	for _, tc := range []struct {
-		name  string
-		load  float64
-		event bool
+		name string
+		load float64
 	}{
-		{"cycle-load0.3", 0.3, false},
-		{"event-load0.05", 0.05, true},
+		{"cycle-load0.3", 0.3},
+		{"cycle-load0.05", 0.05},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := eventCfg(t, tc.load, 21, tc.event)
+			cfg := smallCfg(t, tc.load, 21)
 			// Build the path DB eagerly: the lazy DB computes KSP on first
 			// touch of a pair, and a rare pair first hit inside the measured
 			// window would charge the whole KSP computation to Step.

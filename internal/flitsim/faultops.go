@@ -80,7 +80,6 @@ func (s *Sim) sweepInflight() {
 			}
 			kept = append(kept, a)
 		}
-		s.inflight.count -= len(slot) - len(kept)
 		s.inflight.slots[si] = kept
 	}
 }

@@ -71,10 +71,7 @@ type Config struct {
 	// BufDepth is the per-VC buffer depth in flits (default 32).
 	BufDepth int
 	// NumVCs is the virtual channel count; 0 derives it from the longest
-	// path the configured mechanism can use (3·diameter+2 for UGAL,
-	// 2·diameter+2 otherwise — the paper sizes VCs "equal to the diameter
-	// of the network" for its near-minimal KSP paths; edge-disjoint and
-	// non-minimal paths need more headroom).
+	// path the configured mechanism can use (routing.VCBudget).
 	NumVCs int
 
 	// WarmupCycles (default 500; pass a negative value for no warmup),
@@ -107,17 +104,6 @@ type Config struct {
 	// regimes where a starving minority of flows never pushes the average
 	// latency of delivered packets over the threshold.
 	SaturationLatencyOnly bool
-
-	// EventDriven selects discrete-event advance: whenever nothing is
-	// queued anywhere, the clock jumps straight to the next event (wheel
-	// arrival, scheduled injection, fault event or run boundary) instead of
-	// visiting every idle cycle, and injection is driven by per-terminal
-	// geometric next-arrival sampling on a dedicated RNG stream. Results
-	// are statistically equivalent — and, for runs whose traffic and
-	// mechanism consume no randomness, bit-identical — to the default
-	// per-cycle Bernoulli mode, but the shared RNG stream diverges; see
-	// docs/PERFORMANCE.md ("Event-driven advance").
-	EventDriven bool
 }
 
 func (c Config) withDefaults() Config {
@@ -234,18 +220,6 @@ type Sim struct {
 	active    []uint64
 	srcActive []uint64
 
-	// Busy-state totals for the event-driven advance: packets queued in
-	// link VC queues and in source queues, maintained by qpush/qpop and
-	// srcPush/srcPop. When both are zero and the reroute queue is empty,
-	// no per-cycle phase can move anything and the clock may jump to the
-	// next event (see events.go).
-	queuedPkts int64
-	srcQueued  int64
-
-	eventDriven bool
-	inj         *injector // nil unless EventDriven
-	skipped     int64     // cycles the event-driven advance jumped over
-
 	pkts  []packet
 	free  int32 // packet freelist head (-1 none)
 	clock int64
@@ -275,7 +249,6 @@ type wheel struct {
 	// returned, so that slot must get a backing array different from the
 	// slice the caller is still iterating.
 	spare []arrival
-	count int   // scheduled arrivals across all slots
 	now   int64 // cycle of the last take; -1 before the first
 }
 
@@ -301,7 +274,6 @@ func (w *wheel) schedule(at int64, a arrival) {
 	}
 	idx := int(at % int64(len(w.slots)))
 	w.slots[idx] = append(w.slots[idx], a)
-	w.count++
 }
 
 func (w *wheel) take(now int64) []arrival {
@@ -310,36 +282,7 @@ func (w *wheel) take(now int64) []arrival {
 	out := w.slots[idx]
 	w.slots[idx] = w.spare[:0]
 	w.spare = out
-	w.count -= len(out)
 	return out
-}
-
-// nextAt returns the absolute cycle of the earliest scheduled arrival, or
-// -1 when the wheel is empty. Slot idx holds the unique cycle in
-// (now, now+len(slots)] congruent to idx, so one pass over the (horizon+1)
-// slots resolves the cursor; the clock may sit past now during an
-// event-driven sleep, which only ever lands on cycles at or before that
-// earliest arrival.
-func (w *wheel) nextAt() int64 {
-	if w.count == 0 {
-		return -1
-	}
-	n := int64(len(w.slots))
-	best := int64(-1)
-	for idx := range w.slots {
-		if len(w.slots[idx]) == 0 {
-			continue
-		}
-		d := (int64(idx) - (w.now + 1)) % n
-		if d < 0 {
-			d += n
-		}
-		c := w.now + 1 + d
-		if best < 0 || c < best {
-			best = c
-		}
-	}
-	return best
 }
 
 // Validate reports the first configuration error, applying no defaults:
@@ -403,15 +346,7 @@ func NewSim(cfg Config) (*Sim, error) {
 	}
 	s.numVC = cfg.NumVCs
 	if s.numVC == 0 {
-		// Edge-disjoint paths routinely exceed the diameter, and UGAL
-		// non-minimal paths reach twice the longest shortest path, so the
-		// default is generous; the paper's diameter-sized VC count assumes
-		// near-minimal KSP paths only.
-		m := graph.ComputeMetrics(s.g, 0)
-		s.numVC = 2*int(m.Diameter) + 2
-		if cfg.Mechanism.NonMinimal() {
-			s.numVC = 3*int(m.Diameter) + 2
-		}
+		s.numVC = routing.VCBudget(graph.ComputeMetrics(s.g, 0).Diameter, cfg.Mechanism.NonMinimal())
 	}
 	nLinks := s.numNet + 2*s.numTerm
 	s.vq = vcq.New(nLinks, s.numVC)
@@ -421,10 +356,6 @@ func NewSim(cfg Config) (*Sim, error) {
 	s.qlen = make([]int32, nLinks)
 	s.active = make([]uint64, (nLinks+63)/64)
 	s.srcActive = make([]uint64, (s.numTerm+63)/64)
-	s.eventDriven = cfg.EventDriven
-	if cfg.EventDriven {
-		s.inj = newInjector(s.numTerm, cfg.InjectionRate, cfg.Seed)
-	}
 	maxLat := cfg.ChannelLatency
 	if cfg.TerminalLatency > maxLat {
 		maxLat = cfg.TerminalLatency
@@ -516,7 +447,6 @@ func (s *Sim) setPath(p *packet, path graph.Path) {
 func (s *Sim) qpush(link, vc, id int32) {
 	s.vq.Push(link, vc, id)
 	s.qlen[link]++
-	s.queuedPkts++
 	if s.qlen[link] == 1 {
 		s.active[link>>6] |= 1 << (uint(link) & 63)
 	}
@@ -527,7 +457,6 @@ func (s *Sim) qpush(link, vc, id int32) {
 func (s *Sim) qpop(link, vc int32) int32 {
 	id := s.vq.Pop(link, vc)
 	s.qlen[link]--
-	s.queuedPkts--
 	if s.qlen[link] == 0 {
 		s.active[link>>6] &^= 1 << (uint(link) & 63)
 	}
@@ -542,13 +471,11 @@ func (s *Sim) srcPush(term, id int32) {
 		s.srcActive[term>>6] |= 1 << (uint(term) & 63)
 	}
 	q.Push(id)
-	s.srcQueued++
 }
 
 func (s *Sim) srcPop(term int32) int32 {
 	q := &s.srcQueue[term]
 	id := q.Pop()
-	s.srcQueued--
 	if q.Len() == 0 {
 		s.srcActive[term>>6] &^= 1 << (uint(term) & 63)
 	}
@@ -558,8 +485,7 @@ func (s *Sim) srcPop(term int32) int32 {
 // step advances the simulation by one cycle. measuring toggles stats
 // collection for delivered packets. The cycle's phases (faults, channel
 // arrivals, ejection, network forwarding, reroutes, injection, generation)
-// live in one method each so the cycle-stepped and event-driven drivers
-// share them verbatim.
+// live in one method each.
 func (s *Sim) step(measuring bool, sampleLatSum *int64, sampleCount *int64) {
 	// 0. Apply fault events due this cycle (flushes queues on freshly
 	// failed links and sweeps the in-flight wheel).
@@ -579,11 +505,7 @@ func (s *Sim) step(measuring bool, sampleLatSum *int64, sampleCount *int64) {
 	s.injectSources()
 	// 5. Generate new packets — after injection, so a packet generated
 	// this cycle enters the network no earlier than the next one.
-	if s.inj != nil {
-		s.inj.generate(s)
-	} else {
-		s.generateBernoulli()
-	}
+	s.generateBernoulli()
 
 	if s.tel != nil {
 		s.tel.SampleQueues(s.occ)
@@ -772,11 +694,9 @@ func (s *Sim) injectSources() {
 	}
 }
 
-// generateBernoulli is phase 5 in cycle-stepped mode. This loop
-// deliberately stays a full scan: every terminal draws from the RNG every
-// cycle regardless of load, so seeds reproduce the exact same traffic as
-// before the sparse rewrite. Event-driven runs replace it with the
-// injector's geometric next-arrival schedule (events.go).
+// generateBernoulli is phase 5. This loop deliberately stays a full scan:
+// every terminal draws from the RNG every cycle regardless of load, so
+// seeds reproduce the exact same traffic as before the sparse rewrite.
 func (s *Sim) generateBernoulli() {
 	if s.cfg.InjectionRate <= 0 {
 		return
@@ -789,18 +709,12 @@ func (s *Sim) generateBernoulli() {
 		if !ok {
 			continue
 		}
-		s.admit(int32(term), int32(dst))
+		id := s.allocPkt()
+		s.pkts[id] = packet{hop: 0, dstTerm: int32(dst), birth: s.clock, next: -1,
+			links: s.pkts[id].links[:0]}
+		s.srcPush(int32(term), id)
+		s.injected++
 	}
-}
-
-// admit creates one freshly generated packet on the terminal's source
-// queue (shared by the Bernoulli scan and the event-driven injector).
-func (s *Sim) admit(term, dstTerm int32) {
-	id := s.allocPkt()
-	s.pkts[id] = packet{hop: 0, dstTerm: dstTerm, birth: s.clock, next: -1,
-		links: s.pkts[id].links[:0]}
-	s.srcPush(term, id)
-	s.injected++
 }
 
 // firstLinkOf returns the first network link (or the ejection link for

@@ -49,6 +49,20 @@ func db(topo *jellyfish.Topology, alg ksp.Algorithm, k int) *paths.DB {
 	return paths.NewDB(topo.G, ksp.Config{Alg: alg, K: k}, 1)
 }
 
+// smallCfg is the golden harness's jelly(12,8,4,3) with an rEDKSP k=4
+// path DB, KSP-adaptive routing and uniform traffic at the given load.
+func smallCfg(t testing.TB, load float64, seed uint64) Config {
+	topo := jelly(t, 12, 8, 4, 3)
+	return Config{
+		Topo:          topo,
+		Paths:         db(topo, ksp.REDKSP, 4),
+		Mechanism:     routing.KSPAdaptive(),
+		Traffic:       traffic.Uniform{N: topo.NumTerminals()},
+		InjectionRate: load,
+		Seed:          seed,
+	}
+}
+
 func TestSinglePacketLatency(t *testing.T) {
 	// One packet over a 3-hop path: injection wait 1 + injection channel 1
 	// + 3 x 10 network channels + ejection channel 1 = 33 cycles.
@@ -115,6 +129,33 @@ func TestConservation(t *testing.T) {
 	}
 	if got := s.QueuedPackets(); got != inFlight {
 		t.Fatalf("conservation violated: counted %d in network, expected %d", got, inFlight)
+	}
+}
+
+// TestStepContract pins Sim.Step's external contract: the clock advances
+// by exactly n, and the conservation counters agree with a recount of
+// every queue.
+func TestStepContract(t *testing.T) {
+	s := New(smallCfg(t, 0.05, 9))
+	s.Step(137)
+	if s.Clock() != 137 {
+		t.Fatalf("clock %d after Step(137)", s.Clock())
+	}
+	s.Step(1)
+	s.Step(0)
+	s.Step(862)
+	if s.Clock() != 1000 {
+		t.Fatalf("clock %d, want 1000", s.Clock())
+	}
+	inj, del, fly := s.Counts()
+	if inj == 0 || del == 0 {
+		t.Fatalf("nothing moved (injected %d delivered %d)", inj, del)
+	}
+	if inj != del+s.Dropped()+fly {
+		t.Fatalf("conservation broken: %d != %d+%d+%d", inj, del, s.Dropped(), fly)
+	}
+	if got := s.QueuedPackets(); got != fly {
+		t.Fatalf("recount %d != inFlight %d", got, fly)
 	}
 }
 

@@ -52,26 +52,18 @@ func TestFaultSweepParallelSmoke(t *testing.T) {
 
 const goldenFile = "testdata/golden_results.json"
 
-// TestResultGolden pins the exact Result of 60 runs — every mechanism at a
-// low, mid and saturating load cycle-stepped, and at the low and mid load
-// event-driven, each with and without a mid-run link-failure burst —
-// against committed values. Any change to per-cycle behavior, RNG
-// consumption order, arbitration order, fault handling or the event-driven
-// advance shows up as a field-level diff here, which is how hot-loop
-// rewrites prove themselves bit-identical in both modes. Regenerate with
+// TestResultGolden pins the exact Result of 36 runs — every mechanism at a
+// low, mid and saturating load, each with and without a mid-run
+// link-failure burst — against committed values. Any change to per-cycle
+// behavior, RNG consumption order, arbitration order or fault handling
+// shows up as a field-level diff here, which is how hot-loop rewrites
+// prove themselves bit-identical. Regenerate with
 // `go test ./internal/flitsim -run ResultGolden -update` only when a
 // behavior change is intended.
 func TestResultGolden(t *testing.T) {
 	topo := jelly(t, 12, 8, 4, 3)
 	pdb := paths.NewDB(topo.G, ksp.Config{Alg: ksp.REDKSP, K: 4}, 1)
 	mechs := append(routing.Mechanisms(), routing.SP())
-	// Event-driven runs skip the saturating load: a saturated network is
-	// never idle, so the advance never sleeps there and the run would add
-	// cost without covering anything the two lower loads do not.
-	loads := map[bool][]float64{
-		false: {0.05, 0.30, 0.90},
-		true:  {0.05, 0.30},
-	}
 
 	faultSched, err := faults.ParseSpec("random:2@600,1@2200", topo.G, 99)
 	if err != nil {
@@ -80,28 +72,22 @@ func TestResultGolden(t *testing.T) {
 
 	got := map[string]Result{}
 	for _, mech := range mechs {
-		for _, event := range []bool{false, true} {
-			for _, load := range loads[event] {
-				for _, faulty := range []bool{false, true} {
-					cfg := Config{
-						Topo:          topo,
-						Paths:         pdb,
-						Mechanism:     mech,
-						Traffic:       traffic.Uniform{N: topo.NumTerminals()},
-						InjectionRate: load,
-						Seed:          1234,
-						EventDriven:   event,
-					}
-					key := fmt.Sprintf("%s/load=%.2f/faults=off", mech.Name(), load)
-					if faulty {
-						cfg.Faults = faultSched
-						key = fmt.Sprintf("%s/load=%.2f/faults=on", mech.Name(), load)
-					}
-					if event {
-						key += "/event-driven"
-					}
-					got[key] = New(cfg).Run()
+		for _, load := range []float64{0.05, 0.30, 0.90} {
+			for _, faulty := range []bool{false, true} {
+				cfg := Config{
+					Topo:          topo,
+					Paths:         pdb,
+					Mechanism:     mech,
+					Traffic:       traffic.Uniform{N: topo.NumTerminals()},
+					InjectionRate: load,
+					Seed:          1234,
 				}
+				key := fmt.Sprintf("%s/load=%.2f/faults=off", mech.Name(), load)
+				if faulty {
+					cfg.Faults = faultSched
+					key = fmt.Sprintf("%s/load=%.2f/faults=on", mech.Name(), load)
+				}
+				got[key] = New(cfg).Run()
 			}
 		}
 	}

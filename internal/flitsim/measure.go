@@ -97,10 +97,16 @@ func (s *Sim) latPercentile(q float64) float64 {
 	return float64(len(s.latHist) - 1)
 }
 
+// advanceTo steps one cycle at a time until the clock reaches until, so
+// measurement and telemetry windows end exactly on their boundary cycle.
+func (s *Sim) advanceTo(until int64, measuring bool, sampleLatSum, sampleCount *int64) {
+	for s.clock < until {
+		s.step(measuring, sampleLatSum, sampleCount)
+	}
+}
+
 // Step advances the clock by exactly n cycles without recording
 // statistics; exported for tests and interactive exploration. The
-// contract holds in both modes: event-driven runs may jump over idle
-// spans internally, but Clock() always advances by exactly n and the
 // conservation counters reflect everything that happened in those n
 // cycles (pinned by TestStepContract).
 func (s *Sim) Step(n int) {

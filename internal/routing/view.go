@@ -38,6 +38,21 @@ type View struct {
 	same []graph.Path
 }
 
+// VCBudget is the virtual-channel count a simulator needs on a network of
+// the given diameter: under VC-per-hop deadlock avoidance a path of h hops
+// uses VCs 0..h-1, so the budget bounds every admissible path (and is what
+// the simulators pass as View.MaxHops). Edge-disjoint selectors routinely
+// exceed the diameter, so minimal mechanisms get 2·diameter+2; UGAL-style
+// non-minimal detours concatenate two paths and get 3·diameter+2. The
+// paper sizes VCs "equal to the diameter of the network", which holds only
+// for near-minimal KSP paths.
+func VCBudget(diameter int32, nonMinimal bool) int {
+	if nonMinimal {
+		return 3*int(diameter) + 2
+	}
+	return 2*int(diameter) + 2
+}
+
 // SamePath returns the one-node path for a packet whose source and
 // destination share a switch, cached per node.
 func (v *View) SamePath(n graph.NodeID) graph.Path {

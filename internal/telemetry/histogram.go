@@ -49,24 +49,6 @@ func (h *Histogram) Observe(v int64) {
 	h.samples.Add(1)
 }
 
-// ObserveN records the value n times, equivalent to n Observe(v) calls
-// (no-op for n <= 0).
-func (h *Histogram) ObserveN(v, n int64) {
-	if n <= 0 {
-		return
-	}
-	if v < 0 {
-		v = 0
-	}
-	b := v / h.width
-	if b >= int64(h.NumBuckets()) {
-		b = int64(h.NumBuckets())
-	}
-	h.counts[b].Add(n)
-	h.sum.Add(v * n)
-	h.samples.Add(n)
-}
-
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.samples.Load() }
 

@@ -270,27 +270,6 @@ func (c *Collector) SampleQueues(occ []int32) {
 	c.cycles.Add(1)
 }
 
-// SampleQueuesN records n consecutive cycles that all observed the same
-// committed occupancy — the event-driven simulator's accounting for a
-// slept span, during which occupancy is provably frozen. It is equivalent
-// to calling SampleQueues(occ) n times.
-func (c *Collector) SampleQueuesN(occ []int32, n int64) {
-	if n <= 0 {
-		return
-	}
-	for i, o := range occ {
-		d := int64(o)
-		if d > 0 {
-			c.QueueSum.Add(i, d*n)
-			c.QueuePeak.SetMax(i, d)
-		}
-		if c.Queue != nil {
-			c.Queue.ObserveN(d, n)
-		}
-	}
-	c.cycles.Add(n)
-}
-
 // Snapshot appends a window capturing the run's cumulative totals at the
 // given cycle. Simulators call it at measurement-window boundaries.
 func (c *Collector) Snapshot(cycle int64) {
