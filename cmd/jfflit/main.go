@@ -57,11 +57,11 @@ func main() {
 	}
 	defer prof.Stop()
 	// Written so NaN fails: every comparison with NaN is false.
-	if !(*rateStep > 0) {
-		fatal(fmt.Errorf("-rate-step must be positive, got %g", *rateStep))
-	}
 	if !(0 < *rateStart && *rateStart <= *rateStop && *rateStop <= 1) {
 		fatal(fmt.Errorf("offered-load range (%g, %g) must satisfy 0 < start <= stop <= 1", *rateStart, *rateStop))
+	}
+	if err := flitsim.ValidateRates(*rateStart, *rateStop, *rateStep); err != nil {
+		fatal(err)
 	}
 	params, err := jellyfish.ByName(*topoName)
 	if err != nil {

@@ -413,7 +413,7 @@ func Run(cfg Config) (Result, error) {
 			down := g.LinkID(e.U, e.V)
 			for _, link := range [2]int32{down, g.ReverseLink(down)} {
 				for vc := int32(0); int(vc) < numVC; vc++ {
-					for vq.Len(link, vc) > 0 {
+					for vq.Head(link, vc) >= 0 {
 						id := dequeue(link, vc)
 						p := &pkts[id]
 						handleFault(id, p.path[p.hop])

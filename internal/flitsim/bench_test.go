@@ -16,10 +16,11 @@ import (
 
 // benchFlit measures one full measurement-protocol run on a small RRG
 // at one offered load, with or without a telemetry collector attached,
-// and reports the stepping cost per simulated cycle. BenchmarkFlit's
-// cells cover a nearly empty and a busy network; comparing
-// BenchmarkFlitTelemetry against cycle/load=0.5 guards the claim that
-// the nil-telemetry path costs nothing measurable:
+// and reports the stepping cost per simulated cycle. Paths come from an
+// all-pairs DB, as in every experiment. BenchmarkFlit's cells cover a
+// nearly empty and a busy network; comparing BenchmarkFlitTelemetry
+// against cycle/load=0.5 guards the claim that the nil-telemetry path
+// costs nothing measurable:
 //
 //	go test ./internal/flitsim -run '^$' -bench Flit -benchmem
 func benchFlit(b *testing.B, load float64, instrumented bool) {
@@ -27,7 +28,7 @@ func benchFlit(b *testing.B, load float64, instrumented bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pdb := paths.NewDB(topo.G, ksp.Config{Alg: ksp.REDKSP, K: 4}, 1)
+	pdb := paths.BuildAllPairs(topo.G, ksp.Config{Alg: ksp.REDKSP, K: 4}, 1, 0)
 	var cycles int64
 	var stepping time.Duration
 	b.ReportAllocs()

@@ -52,7 +52,7 @@ func (s *Sim) onFaultEvents(evs []faults.Event) {
 // handling each packet at the link's sending switch.
 func (s *Sim) flushLink(link int32) {
 	for vc := int32(0); int(vc) < s.numVC; vc++ {
-		for s.vq.Len(link, vc) > 0 {
+		for s.vq.Head(link, vc) >= 0 {
 			id := s.qpop(link, vc)
 			p := &s.pkts[id]
 			s.handleFaultPacket(id, p.path[p.hop])
@@ -70,7 +70,7 @@ func (s *Sim) sweepInflight() {
 		kept := slot[:0]
 		for _, a := range slot {
 			p := &s.pkts[a.pkt]
-			if p.hop >= 1 && s.faults.LinkDown(p.links[p.hop-1]) {
+			if p.hop >= 1 && s.faults.LinkDown(s.g.LinkID(p.path[p.hop-1], p.path[p.hop])) {
 				s.occ[a.link]--
 				s.occVC[int(a.link)*s.numVC+int(a.vc)]--
 				// The packet was mid-channel when the link died; under the
@@ -104,7 +104,7 @@ func (s *Sim) handleFaultPacket(id int32, cur graph.NodeID) {
 		s.dropPkt(id)
 		return
 	}
-	s.setPath(p, np)
+	p.path = np
 	p.hop = 0
 	s.rerouteQ = append(s.rerouteQ, id)
 	s.rerouted++
@@ -121,14 +121,14 @@ func (s *Sim) processReroutes() {
 	kept := s.rerouteQ[:0]
 	for _, id := range s.rerouteQ {
 		p := &s.pkts[id]
-		if len(p.links) > 0 && s.faults.LinkDown(p.links[0]) {
+		if p.path.Hops() > 0 && s.faults.LinkDown(s.g.LinkID(p.path[0], p.path[1])) {
 			dst := s.topo.SwitchOf(int(p.dstTerm))
 			np, _ := s.choosePath(p.path[0], dst)
 			if np == nil || np.Hops() > s.numVC {
 				s.dropPkt(id)
 				continue
 			}
-			s.setPath(p, np)
+			p.path = np
 		}
 		link, vc := s.firstLinkOf(p)
 		if !s.spaceIn(link, vc) {

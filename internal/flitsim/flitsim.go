@@ -177,16 +177,11 @@ type Result struct {
 
 // packet is a single-flit packet.
 type packet struct {
-	path graph.Path // switch-level path; len 1 for same-switch traffic
-	// links caches the directed link id of every path edge (links[i] is
-	// LinkID(path[i], path[i+1])), filled once when the path is assigned
-	// so the forwarding hot path never repeats the adjacency binary
-	// search. Its backing array is recycled with the packet slot.
-	links   []int32
-	hop     int32 // next path edge index to traverse
+	path    graph.Path // switch-level path; len 1 for same-switch traffic
+	hop     int32      // next path edge index to traverse
 	dstTerm int32
 	birth   int64 // cycle the packet entered the source queue
-	next    int32 // freelist / queue linkage
+	next    int32 // freelist linkage
 }
 
 // Sim is one simulation instance. It is single-threaded; run many Sims in
@@ -426,19 +421,8 @@ func (s *Sim) allocPkt() int32 {
 }
 
 func (s *Sim) freePkt(id int32) {
-	s.pkts[id] = packet{next: s.free, links: s.pkts[id].links[:0]}
+	s.pkts[id] = packet{next: s.free}
 	s.free = id
-}
-
-// setPath assigns a (non-nil) path to the packet and precomputes the link
-// id of every edge, so forwarding never repeats graph.LinkID's adjacency
-// binary search per hop.
-func (s *Sim) setPath(p *packet, path graph.Path) {
-	p.path = path
-	p.links = p.links[:0]
-	for i := 0; i+1 < len(path); i++ {
-		p.links = append(p.links, s.g.LinkID(path[i], path[i+1]))
-	}
 }
 
 // qpush appends a packet to (link, vc), maintaining the active-link
@@ -647,8 +631,8 @@ func (s *Sim) injectSources() {
 			term := int32(w<<6 + bits.TrailingZeros64(m))
 			id := s.srcQueue[term].Peek()
 			p := &s.pkts[id]
-			if p.path != nil && s.faults != nil && len(p.links) > 0 &&
-				s.faults.LinkDown(p.links[0]) {
+			if p.path != nil && s.faults != nil && p.path.Hops() > 0 &&
+				s.faults.LinkDown(s.g.LinkID(p.path[0], p.path[1])) {
 				// The path chosen while waiting for buffer space starts on a
 				// link that has since failed; choose again.
 				p.path = nil
@@ -670,7 +654,7 @@ func (s *Sim) injectSources() {
 				if path.Hops() > s.numVC {
 					panic(fmt.Sprintf("flitsim: path with %d hops exceeds %d VCs", path.Hops(), s.numVC))
 				}
-				s.setPath(p, path)
+				p.path = path
 				if s.tel != nil && choice >= 0 {
 					s.tel.CountChoice(choice)
 				}
@@ -710,8 +694,7 @@ func (s *Sim) generateBernoulli() {
 			continue
 		}
 		id := s.allocPkt()
-		s.pkts[id] = packet{hop: 0, dstTerm: int32(dst), birth: s.clock, next: -1,
-			links: s.pkts[id].links[:0]}
+		s.pkts[id] = packet{hop: 0, dstTerm: int32(dst), birth: s.clock, next: -1}
 		s.srcPush(int32(term), id)
 		s.injected++
 	}
@@ -721,23 +704,23 @@ func (s *Sim) generateBernoulli() {
 // zero-hop paths) a packet starting its path enters, with its VC: at
 // injection, and again after a fault reroute.
 func (s *Sim) firstLinkOf(p *packet) (int32, int32) {
-	if len(p.links) == 0 {
+	if p.path.Hops() == 0 {
 		return s.ejLink(p.dstTerm), 0
 	}
-	return p.links[0], 0
+	return s.g.LinkID(p.path[0], p.path[1]), 0
 }
 
 // nextHopOf returns the queue the packet enters after traversing its
 // current link. p.hop indexes the edge the packet is currently queued for.
 // Network hop h occupies VC h; the ejection queue (a pure sink) always
-// uses VC 0, so VC demand equals the maximum path hop count. Link ids come
-// from the packet's precomputed edge cache, not graph.LinkID.
+// uses VC 0, so VC demand equals the maximum path hop count. The link id
+// comes from graph.LinkID's constant-time table.
 func (s *Sim) nextHopOf(p *packet) (int32, int32) {
 	nextEdge := int(p.hop) + 1
-	if nextEdge >= len(p.links) {
+	if nextEdge >= p.path.Hops() {
 		return s.ejLink(p.dstTerm), 0
 	}
-	return p.links[nextEdge], p.hop + 1
+	return s.g.LinkID(p.path[nextEdge], p.path[nextEdge+1]), p.hop + 1
 }
 
 // spaceIn reports whether (link, vc) can accept one more committed packet:

@@ -1,7 +1,9 @@
 package flitsim
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -404,22 +406,68 @@ func mustPanic(t *testing.T, f func()) {
 	f()
 }
 
+// TestRatesEndpointExact pins the valid sweeps rate by rate, as Rates
+// computes them by index: the Figure 9 sweep, whose last rate must not
+// pass 1.0, a short one, a one-point sweep, an empty one and the longest
+// sweep allowed.
 func TestRatesEndpointExact(t *testing.T) {
-	rs := Rates(0.05, 1.0, 0.05)
-	if len(rs) != 20 {
-		t.Fatalf("len = %d, want 20", len(rs))
-	}
-	if rs[len(rs)-1] > 1.0 {
-		t.Fatalf("last rate %v exceeds 1.0", rs[len(rs)-1])
-	}
-	for _, r := range rs {
-		if r < 0 || r > 1 {
-			t.Fatalf("rate %v out of range", r)
+	for _, c := range []struct {
+		start, stop, step float64
+		n                 int
+	}{
+		{0.05, 1.0, 0.05, 20},
+		{0.1, 0.3, 0.1, 3},
+		{0.1, 0.1, 0.05, 1},
+		{0.5, 0.4, 0.05, 0},
+		{0, 1, 1e-4, maxRateSteps + 1},
+	} {
+		rs := Rates(c.start, c.stop, c.step)
+		if len(rs) != c.n {
+			t.Fatalf("Rates(%g, %g, %g) has %d rates, want %d", c.start, c.stop, c.step, len(rs), c.n)
+		}
+		for i, r := range rs {
+			if want := min(c.start+float64(i)*c.step, c.stop); r != want {
+				t.Fatalf("Rates(%g, %g, %g)[%d] = %v, want %v", c.start, c.stop, c.step, i, r, want)
+			}
 		}
 	}
-	// Every generated rate must be a legal injection rate.
-	if rs2 := Rates(0.1, 0.3, 0.1); len(rs2) != 3 {
-		t.Fatalf("Rates(0.1,0.3,0.1) = %v", rs2)
+}
+
+// TestRatesRejectsUnboundedSweeps checks that every argument that would
+// make an endless or oversized sweep is refused by ValidateRates with an
+// error naming it, and makes Rates panic instead of looping.
+func TestRatesRejectsUnboundedSweeps(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	for _, c := range []struct {
+		start, stop, step float64
+		names             string
+	}{
+		{0.05, 1, 0, "step 0 "},
+		{0.05, 1, -0.05, "step -0.05 "},
+		{0.05, 1, nan, "step NaN "},
+		{0.05, 1, inf, "step +Inf "},
+		{nan, 1, 0.05, "start NaN "},
+		{-inf, 1, 0.05, "start -Inf "},
+		{0.05, nan, 0.05, "stop NaN "},
+		{0.05, inf, 0.05, "stop +Inf "},
+		{0.05, 1, 1e-300, "step 1e-300 "},
+		{0.05, 1, 1e-9, "step 1e-09 "},
+		{0.5, 0.5, 1e-14, "step 1e-14 "}, // tolerance at stop: 10^5 points
+		{1e30, 1e30, 1, "step 1 "},       // below start's rounding granularity
+	} {
+		err := ValidateRates(c.start, c.stop, c.step)
+		if err == nil || !strings.Contains(err.Error(), c.names) || !strings.Contains(err.Error(), "out of range") {
+			t.Fatalf("ValidateRates(%g, %g, %g) = %v, want an out-of-range error naming %q",
+				c.start, c.stop, c.step, err, c.names)
+		}
+		func() {
+			defer func() {
+				if r := recover(); r == nil || fmt.Sprint(r) != err.Error() {
+					t.Fatalf("Rates(%g, %g, %g) panicked with %v, want %v", c.start, c.stop, c.step, r, err)
+				}
+			}()
+			Rates(c.start, c.stop, c.step)
+		}()
 	}
 }
 

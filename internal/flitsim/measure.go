@@ -1,6 +1,9 @@
 package flitsim
 
 import (
+	"fmt"
+	"math"
+
 	"repro/internal/par"
 	"repro/internal/xrand"
 )
@@ -161,22 +164,61 @@ func Sweep(cfg Config, rates []float64, workers int) []Result {
 	return out
 }
 
+// maxRateSteps bounds an offered-load sweep: Rates returns at most
+// maxRateSteps+1 rates.
+const maxRateSteps = 10000
+
 // Rates builds the list {start, start+step, ...} up to and including stop
 // (within 1e-9 tolerance), computed by index so float accumulation cannot
-// push a rate past stop.
+// push a rate past stop. It panics with ValidateRates' error on arguments
+// that would not make a bounded sweep; check them with ValidateRates
+// first where they come from a user.
 func Rates(start, stop, step float64) []float64 {
+	out, err := rates(start, stop, step)
+	if err != nil {
+		panic(err)
+	}
+	return out
+}
+
+// ValidateRates reports whether Rates accepts its arguments: step must be
+// positive and finite, start and stop finite, and the sweep at most
+// 10,000 steps long: (stop-start)/step <= 10,000, counting the 1e-9
+// tolerance at stop and float rounding.
+func ValidateRates(start, stop, step float64) error {
+	_, err := rates(start, stop, step)
+	return err
+}
+
+func rates(start, stop, step float64) ([]float64, error) {
+	switch {
+	case !(step > 0) || math.IsInf(step, 1):
+		return nil, fmt.Errorf("flitsim: rate step %g out of range: it must be positive and finite", step)
+	case math.IsNaN(start) || math.IsInf(start, 0):
+		return nil, fmt.Errorf("flitsim: rate start %g out of range: it must be finite", start)
+	case math.IsNaN(stop) || math.IsInf(stop, 0):
+		return nil, fmt.Errorf("flitsim: rate stop %g out of range: it must be finite", stop)
+	case (stop-start)/step > maxRateSteps:
+		return nil, fmt.Errorf("flitsim: rate step %g out of range: [%g, %g] would take more than %d steps",
+			step, start, stop, maxRateSteps)
+	}
 	var out []float64
 	for i := 0; ; i++ {
 		r := start + float64(i)*step
 		if r > stop+1e-9 {
-			break
+			return out, nil
+		}
+		if i > maxRateSteps {
+			// Reachable only when the step is below the rounding
+			// granularity of start or within the tolerance at stop.
+			return nil, fmt.Errorf("flitsim: rate step %g out of range: [%g, %g] would take more than %d steps",
+				step, start, stop, maxRateSteps)
 		}
 		if r > stop {
 			r = stop
 		}
 		out = append(out, r)
 	}
-	return out
 }
 
 // SaturationThroughput sweeps the rates in ascending order and returns the

@@ -478,12 +478,11 @@ func ReadCache(r io.Reader, g *graph.Graph) (*DB, uint64, error) {
 	// Assemble the CSR index and validate every path against the graph.
 	st.pairOff = make([]int32, len(st.keys)+1)
 	st.heads = make([]graph.Path, numPaths)
-	st.index = make(map[uint64]int32, len(st.keys))
+	st.srcOff = sourceOffsets(st.keys, n)
 	pathIdx := 0
 	nodeOff := 0
 	for i, pk := range st.keys {
 		st.pairOff[i] = int32(pathIdx)
-		st.index[pk] = int32(i)
 		src := graph.NodeID(pk >> 32)
 		dst := graph.NodeID(uint32(pk))
 		for c := uint32(0); c < counts[i]; c++ {

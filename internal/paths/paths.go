@@ -68,12 +68,16 @@ func NewDB(g *graph.Graph, cfg ksp.Config, seed uint64) *DB {
 
 // Build eagerly computes the path sets for the given pairs in parallel
 // (workers <= 0 selects the default pool) and packs them into the DB's
-// CSR store. Duplicate pairs are computed once.
+// CSR store. Duplicate pairs are computed once; self pairs are skipped,
+// since Paths and Lookup never return one.
 func Build(g *graph.Graph, cfg ksp.Config, seed uint64, pairs []Pair, workers int) *DB {
 	db := NewDB(g, cfg, seed)
 	keys := make([]uint64, 0, len(pairs))
 	seen := make(map[uint64]struct{}, len(pairs))
 	for _, p := range pairs {
+		if p.Src == p.Dst {
+			continue
+		}
 		k := pairKey(p.Src, p.Dst)
 		if _, dup := seen[k]; dup {
 			continue
@@ -89,7 +93,7 @@ func Build(g *graph.Graph, cfg ksp.Config, seed uint64, pairs []Pair, workers in
 			results[i] = db.computeWith(c, graph.NodeID(keys[i]>>32), graph.NodeID(uint32(keys[i])))
 		},
 		func(c *ksp.Computer) { fallbacks += c.Fallbacks() })
-	db.st = pack(keys, results, fallbacks, workers)
+	db.st = pack(g.NumNodes(), keys, results, fallbacks, workers)
 	return db
 }
 
@@ -157,14 +161,14 @@ func (db *DB) Paths(src, dst graph.NodeID) []graph.Path {
 	if src == dst {
 		return nil
 	}
-	key := pairKey(src, dst)
 	// Packed bulk first: immutable, so no lock is needed — this is the
 	// routing hot path when an eager or cache-loaded DB is in play.
 	if db.st != nil {
-		if ps, ok := db.st.paths(key); ok {
+		if ps, ok := db.st.paths(src, dst); ok {
 			return ps
 		}
 	}
+	key := pairKey(src, dst)
 	db.mu.RLock()
 	ps, ok := db.m[key]
 	db.mu.RUnlock()
@@ -227,7 +231,7 @@ func (db *DB) Lookup(src, dst graph.NodeID) ([]graph.Path, error) {
 	key := pairKey(src, dst)
 	ps, ok := func() ([]graph.Path, bool) {
 		if db.st != nil {
-			if ps, ok := db.st.paths(key); ok {
+			if ps, ok := db.st.paths(src, dst); ok {
 				return ps, true
 			}
 		}

@@ -37,8 +37,7 @@ func (db *DB) forEachSortedLocked(fn func(key uint64, ps []graph.Path) error) er
 			if j < len(lazy) && packed[i] == lazy[j] {
 				j++ // defensive: store wins if a key is somehow in both
 			}
-			ps, _ := db.st.paths(packed[i])
-			if err := fn(packed[i], ps); err != nil {
+			if err := fn(packed[i], db.st.pair(i)); err != nil {
 				return err
 			}
 			i++

@@ -1,6 +1,7 @@
 package paths
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
@@ -18,11 +19,15 @@ import (
 // A store is immutable after construction and therefore safe to read from
 // any number of goroutines without locking. Pairs are kept in ascending
 // pairKey order, so iterating the store yields the same order Write
-// emits.
+// emits, and each source's pairs form one contiguous row of keys.
 type store struct {
 	// keys holds the pair keys (pairKey(src, dst)) in strictly ascending
 	// order.
 	keys []uint64
+	// srcOff indexes keys by source: source s's pairs are
+	// keys[srcOff[s]:srcOff[s+1]]. len(srcOff) == n+1 for the graph's n
+	// nodes.
+	srcOff []int32
 	// pairOff indexes heads: pair i's paths are
 	// heads[pairOff[i]:pairOff[i+1]]. len(pairOff) == len(keys)+1.
 	pairOff []int32
@@ -30,23 +35,66 @@ type store struct {
 	heads []graph.Path
 	// arena is the flat node storage for every path.
 	arena []graph.NodeID
-	// index maps a pair key to its position in keys for O(1) lookup on
-	// the routing hot path.
-	index map[uint64]int32
 	// fallbacks is the number of pairs that needed the edge-disjoint
 	// top-up fallback during the build that produced this store.
 	fallbacks int
 }
 
+// sourceOffsets returns srcOff for ascending keys over n nodes.
+func sourceOffsets(keys []uint64, n int) []int32 {
+	off := make([]int32, n+1)
+	for _, k := range keys {
+		off[k>>32+1]++
+	}
+	for s := 0; s < n; s++ {
+		off[s+1] += off[s]
+	}
+	return off
+}
+
+// find returns the position of (src, dst) in keys, or -1 when the pair
+// is absent, a self pair or out of range. A store holds no self pairs, so
+// a complete row (src paired with every other node, as in an all-pairs
+// DB) holds dst at offset dst - [dst > src]; a partial row, as in a
+// sampled DB, is binary-searched.
+func (st *store) find(src, dst graph.NodeID) int {
+	n := len(st.srcOff) - 1
+	if uint(src) >= uint(n) || uint(dst) >= uint(n) || src == dst {
+		return -1
+	}
+	lo, hi := int(st.srcOff[src]), int(st.srcOff[src+1])
+	key := pairKey(src, dst)
+	if hi-lo == n-1 {
+		i := lo + int(dst)
+		if dst > src {
+			i--
+		}
+		if st.keys[i] != key {
+			return -1
+		}
+		return i
+	}
+	i, ok := slices.BinarySearch(st.keys[lo:hi], key)
+	if !ok {
+		return -1
+	}
+	return lo + i
+}
+
+// pair returns the path set at position i of keys.
+func (st *store) pair(i int) []graph.Path {
+	return st.heads[st.pairOff[i]:st.pairOff[i+1]]
+}
+
 // paths returns the pair's packed path set and whether the pair is
 // present. The returned slice and its paths are views into the store and
 // must not be modified.
-func (st *store) paths(key uint64) ([]graph.Path, bool) {
-	i, ok := st.index[key]
-	if !ok {
+func (st *store) paths(src, dst graph.NodeID) ([]graph.Path, bool) {
+	i := st.find(src, dst)
+	if i < 0 {
 		return nil, false
 	}
-	return st.heads[st.pairOff[i]:st.pairOff[i+1]], true
+	return st.pair(i), true
 }
 
 // numPairs returns the number of pairs in the store.
@@ -62,7 +110,9 @@ type StoreStats struct {
 	// Pairs, Paths and Nodes count the packed entities.
 	Pairs, Paths, Nodes int
 	// ArenaBytes, HeadBytes, IndexBytes and OffsetBytes break down the
-	// resident size; TotalBytes is their sum.
+	// resident size; TotalBytes is their sum. IndexBytes is the
+	// per-source offset array, OffsetBytes the pair keys and per-pair
+	// path offsets. All are exact.
 	ArenaBytes, HeadBytes, IndexBytes, OffsetBytes, TotalBytes int64
 }
 
@@ -81,23 +131,21 @@ func (db *DB) StoreStats() (StoreStats, bool) {
 	const (
 		nodeBytes   = 4  // graph.NodeID = int32
 		headerBytes = 24 // slice header
-		// Go map overhead per entry is roughly 2x the key+value payload
-		// once bucket metadata and load factor are accounted for.
-		indexEntryBytes = 2 * (8 + 4)
 	)
 	s.ArenaBytes = int64(len(st.arena)) * nodeBytes
 	s.HeadBytes = int64(len(st.heads)) * headerBytes
 	s.OffsetBytes = int64(len(st.keys))*8 + int64(len(st.pairOff))*4
-	s.IndexBytes = int64(len(st.index)) * indexEntryBytes
+	s.IndexBytes = int64(len(st.srcOff)) * 4
 	s.TotalBytes = s.ArenaBytes + s.HeadBytes + s.OffsetBytes + s.IndexBytes
 	return s, true
 }
 
-// pack builds a store from per-pair results. keys[i] is the pair key of
-// results[i]; entries need not be sorted but must be unique. The node
+// pack builds a store over n nodes from per-pair results. keys[i] is the
+// pair key of results[i]; entries need not be sorted but must be unique,
+// in range and not self pairs. The node
 // copy — the bulk of the work on an all-pairs build — is sharded across
 // workers; the output is independent of the worker count.
-func pack(keys []uint64, results [][]graph.Path, fallbacks, workers int) *store {
+func pack(n int, keys []uint64, results [][]graph.Path, fallbacks, workers int) *store {
 	if len(keys) != len(results) {
 		panic("paths: pack keys/results length mismatch")
 	}
@@ -110,7 +158,6 @@ func pack(keys []uint64, results [][]graph.Path, fallbacks, workers int) *store 
 	st := &store{
 		keys:      make([]uint64, len(keys)),
 		pairOff:   make([]int32, len(keys)+1),
-		index:     make(map[uint64]int32, len(keys)),
 		fallbacks: fallbacks,
 	}
 	numPaths := 0
@@ -118,7 +165,6 @@ func pack(keys []uint64, results [][]graph.Path, fallbacks, workers int) *store 
 	for i, oi := range order {
 		ps := results[oi]
 		st.keys[i] = keys[oi]
-		st.index[keys[oi]] = int32(i)
 		st.pairOff[i] = int32(numPaths)
 		numPaths += len(ps)
 		for _, p := range ps {
@@ -126,6 +172,7 @@ func pack(keys []uint64, results [][]graph.Path, fallbacks, workers int) *store 
 		}
 	}
 	st.pairOff[len(keys)] = int32(numPaths)
+	st.srcOff = sourceOffsets(st.keys, n)
 	st.heads = make([]graph.Path, numPaths)
 	st.arena = make([]graph.NodeID, numNodes)
 

@@ -1,6 +1,8 @@
 package routing
 
 import (
+	"slices"
+
 	"repro/internal/faults"
 	"repro/internal/graph"
 	"repro/internal/xrand"
@@ -143,11 +145,17 @@ func VanillaUGALBiased(bias int) Mechanism { return ugalMech{bias: bias} }
 
 func (ugalMech) Name() string      { return "UGAL" }
 func (ugalMech) NonMinimal() bool  { return true }
-func (m ugalMech) NewState() State { return ugalState{bias: m.bias} }
+func (m ugalMech) NewState() State { return &ugalState{bias: m.bias} }
 
-type ugalState struct{ bias int }
+// ugalState prices each Valiant detour in a scratch path and copies it out
+// only when the detour wins, so a choice that keeps the minimal path
+// allocates nothing.
+type ugalState struct {
+	bias   int
+	detour graph.Path
+}
 
-func (st ugalState) Choose(v *View, src, dst graph.NodeID, load LoadEstimator, rng *xrand.RNG) (graph.Path, int) {
+func (st *ugalState) Choose(v *View, src, dst graph.NodeID, load LoadEstimator, rng *xrand.RNG) (graph.Path, int) {
 	if src == dst {
 		return v.SamePath(src), -1
 	}
@@ -161,11 +169,9 @@ func (st ugalState) Choose(v *View, src, dst graph.NodeID, load LoadEstimator, r
 	minPath := ps[0]
 	// Random intermediate different from both endpoints.
 	mid := randomIntermediate(v.NumNodes, src, dst, rng)
-	a := firstPath(v, src, mid)
-	b := firstPath(v, mid, dst)
-	nonMin := composePaths(a, b)
+	nonMin := st.compose(firstPath(v, src, mid), firstPath(v, mid, dst))
 	if load.PathCost(nonMin)+st.bias < load.PathCost(minPath) {
-		return nonMin, -1
+		return slices.Clone(nonMin), -1
 	}
 	return minPath, 0
 }
@@ -173,7 +179,7 @@ func (st ugalState) Choose(v *View, src, dst graph.NodeID, load LoadEstimator, r
 // chooseDegraded is VanillaUGAL under active faults: the minimal candidate
 // becomes the best surviving path, and the Valiant detour is admitted only
 // when both of its legs survive (and it fits the VC budget).
-func (st ugalState) chooseDegraded(v *View, src, dst graph.NodeID, load LoadEstimator, rng *xrand.RNG) (graph.Path, int) {
+func (st *ugalState) chooseDegraded(v *View, src, dst graph.NodeID, load LoadEstimator, rng *xrand.RNG) (graph.Path, int) {
 	ps, mask := v.LiveCandidates(src, dst)
 	if mask == 0 {
 		return nil, -1
@@ -186,9 +192,9 @@ func (st ugalState) chooseDegraded(v *View, src, dst graph.NodeID, load LoadEsti
 	if ma == 0 || mb == 0 {
 		return minPath, minIdx
 	}
-	nonMin := composePaths(la[faults.FirstSet(ma)], lb[faults.FirstSet(mb)])
+	nonMin := st.compose(la[faults.FirstSet(ma)], lb[faults.FirstSet(mb)])
 	if (v.MaxHops <= 0 || nonMin.Hops() <= v.MaxHops) && load.PathCost(nonMin)+st.bias < load.PathCost(minPath) {
-		return nonMin, -1
+		return slices.Clone(nonMin), -1
 	}
 	return minPath, minIdx
 }
@@ -213,11 +219,11 @@ func firstPath(v *View, src, dst graph.NodeID) graph.Path {
 	return ps[0]
 }
 
-// composePaths concatenates the two legs of a Valiant detour.
-func composePaths(a, b graph.Path) graph.Path {
-	nonMin := make(graph.Path, 0, len(a)+len(b)-1)
-	nonMin = append(nonMin, a...)
-	return append(nonMin, b[1:]...)
+// compose concatenates the two legs of a Valiant detour into the state's
+// scratch path, which the next call overwrites.
+func (st *ugalState) compose(a, b graph.Path) graph.Path {
+	st.detour = append(append(st.detour[:0], a...), b[1:]...)
+	return st.detour
 }
 
 // --- KSP-UGAL -----------------------------------------------------------------

@@ -16,7 +16,7 @@ import (
 // over their own per-link occupancy, so what must hold is that the
 // estimator's cached first-link row prices exactly like the definition
 // it caches. linkIDEstimator is that definition, resolving every first
-// link with graph.LinkID's binary search; it serves as the oracle.
+// link with graph.LinkID; it serves as the oracle.
 // Identical seeds, candidate sets and occupancy must yield identical
 // (path, candidate index) sequences for every mechanism, healthy and
 // degraded alike.

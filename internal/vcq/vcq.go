@@ -1,13 +1,16 @@
 // Package vcq holds the per-link virtual-channel queues both simulators
 // (internal/flitsim and internal/appsim) forward from: one FIFO of packet
-// ids per (link, VC), a nonempty-VC bitmask per link, and a round-robin
-// pointer per link. Pick resolves a link's next VC from the bitmask with
-// bits.TrailingZeros64, in O(mask words) instead of O(VCs).
+// ids per (link, VC), kept as an intrusive linked list through a per-id
+// next array, a nonempty-VC bitmask per link, and a round-robin pointer
+// per link. Push and Pop are a few stores each and allocate nothing once
+// the id space has grown. Pick resolves a link's next VC from the bitmask
+// with bits.TrailingZeros64, in O(mask words) instead of O(VCs).
 package vcq
 
 import "math/bits"
 
-// FIFO is a slice-backed queue of packet ids.
+// FIFO is a slice-backed queue of packet ids, for queues that are not
+// per (link, VC): flitsim's unbounded per-terminal source queues.
 type FIFO struct {
 	buf  []int32
 	head int
@@ -44,45 +47,76 @@ func (f *FIFO) Pop() int32 {
 
 // Queues is the FIFO of every (link, VC) of a run, with the per-link
 // nonempty-VC bitmasks and round-robin pointers Pick arbitrates with.
-// Push and Pop keep the bitmasks in step; nothing else may touch them.
+// Each FIFO is a linked list of packet ids: the queue holds its head and
+// tail, and next[id] is the id queued behind id. A packet id therefore
+// sits in at most one queue at a time. Push and Pop keep the bitmasks in
+// step; nothing else may touch them.
 type Queues struct {
 	numVC int
 	words int      // bitmask words per link
-	fifos []FIFO   // [link*numVC + vc]
+	lists []list   // [link*numVC + vc]
+	next  []int32  // next[id]: the id queued behind id, -1 at a tail
 	mask  []uint64 // [link*words + vc/64]: bit vc%64 set while (link, vc) is nonempty
 	rr    []int32  // per link: the VC Pick tries first
 }
 
+// list is one (link, VC) queue: its first and last packet ids, head -1
+// when empty (tail is then stale).
+type list struct{ head, tail int32 }
+
 // New returns empty queues for links links of numVC VCs each.
 func New(links, numVC int) Queues {
 	words := (numVC + 63) / 64
+	lists := make([]list, links*numVC)
+	for i := range lists {
+		lists[i].head = -1
+	}
 	return Queues{
 		numVC: numVC,
 		words: words,
-		fifos: make([]FIFO, links*numVC),
+		lists: lists,
 		mask:  make([]uint64, links*words),
 		rr:    make([]int32, links),
 	}
 }
 
-// Len returns the number of packets queued on (link, vc).
-func (q *Queues) Len(link, vc int32) int { return q.fifos[int(link)*q.numVC+int(vc)].Len() }
+// Head returns the first packet of (link, vc), or -1 when it is empty.
+func (q *Queues) Head(link, vc int32) int32 { return q.lists[int(link)*q.numVC+int(vc)].head }
 
-// Push appends packet id to (link, vc).
-func (q *Queues) Push(link, vc, id int32) {
-	f := &q.fifos[int(link)*q.numVC+int(vc)]
-	if f.Len() == 0 {
-		q.mask[int(link)*q.words+int(vc)>>6] |= 1 << (uint(vc) & 63)
+// Len returns the number of packets queued on (link, vc). It walks the
+// list, so it is for fault flushes and accounting, not the hot loop.
+func (q *Queues) Len(link, vc int32) int {
+	n := 0
+	for id := q.Head(link, vc); id >= 0; id = q.next[id] {
+		n++
 	}
-	f.Push(id)
+	return n
+}
+
+// Push appends packet id, which must not be queued anywhere, to
+// (link, vc).
+func (q *Queues) Push(link, vc, id int32) {
+	if int(id) >= len(q.next) {
+		q.next = append(q.next, make([]int32, int(id)+1-len(q.next))...)
+	}
+	q.next[id] = -1
+	l := &q.lists[int(link)*q.numVC+int(vc)]
+	if l.head < 0 {
+		l.head = id
+		q.mask[int(link)*q.words+int(vc)>>6] |= 1 << (uint(vc) & 63)
+	} else {
+		q.next[l.tail] = id
+	}
+	l.tail = id
 }
 
 // Pop removes and returns the head packet of the nonempty queue
 // (link, vc).
 func (q *Queues) Pop(link, vc int32) int32 {
-	f := &q.fifos[int(link)*q.numVC+int(vc)]
-	id := f.Pop()
-	if f.Len() == 0 {
+	l := &q.lists[int(link)*q.numVC+int(vc)]
+	id := l.head
+	l.head = q.next[id]
+	if l.head < 0 {
 		q.mask[int(link)*q.words+int(vc)>>6] &^= 1 << (uint(vc) & 63)
 	}
 	return id
@@ -106,8 +140,12 @@ func (q *Queues) Pick(link int32) (vc, head int32) {
 	} else if vc = q.pickWide(link); vc < 0 {
 		return -1, -1
 	}
-	q.rr[link] = (vc + 1) % int32(q.numVC)
-	return vc, q.fifos[int(link)*q.numVC+int(vc)].Peek()
+	if next := vc + 1; int(next) < q.numVC {
+		q.rr[link] = next
+	} else {
+		q.rr[link] = 0
+	}
+	return vc, q.lists[int(link)*q.numVC+int(vc)].head
 }
 
 // pickWide finds Pick's VC on links with more than 64 VCs: the pointer

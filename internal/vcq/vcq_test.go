@@ -10,12 +10,15 @@ import (
 // TestPickMatchesModuloScan drives random pushes, pops and picks and
 // checks every Pick against the round-robin modulo scan it replaces —
 // the first nonempty VC at or after the pointer, wrapping — and every
-// Pop against a reference FIFO. The VC counts straddle the one-word and
+// Pop, and each touched link's Head and Len per VC, against slice FIFOs.
+// Popped ids are pushed again, as the simulators recycle packet slots,
+// so a linked list that loses a tail or keeps a stale next pointer shows
+// as a wrong head or length. The VC counts straddle the one-word and
 // multi-word bitmask layouts.
 func TestPickMatchesModuloScan(t *testing.T) {
 	for _, numVC := range []int{1, 5, 63, 64, 65, 70, 130} {
 		t.Run(fmt.Sprint(numVC), func(t *testing.T) {
-			const links = 3
+			const links = 5
 			q := New(links, numVC)
 			ref := make([][][]int32, links)
 			rr := make([]int32, links)
@@ -23,23 +26,31 @@ func TestPickMatchesModuloScan(t *testing.T) {
 				ref[l] = make([][]int32, numVC)
 			}
 			rng := xrand.New(uint64(numVC))
+			var free []int32 // popped ids, queued nowhere
 			next := int32(0)
 			for step := 0; step < 20000; step++ {
 				link := int32(rng.IntN(links))
 				vc := int32(rng.IntN(numVC))
 				switch rng.IntN(3) {
 				case 0:
-					q.Push(link, vc, next)
-					ref[link][vc] = append(ref[link][vc], next)
-					next++
+					id := next
+					if len(free) > 0 && rng.IntN(4) != 0 {
+						id, free = free[len(free)-1], free[:len(free)-1]
+					} else {
+						next++
+					}
+					q.Push(link, vc, id)
+					ref[link][vc] = append(ref[link][vc], id)
 				case 1:
 					if len(ref[link][vc]) == 0 {
 						continue
 					}
-					if got, want := q.Pop(link, vc), ref[link][vc][0]; got != want {
+					got, want := q.Pop(link, vc), ref[link][vc][0]
+					if got != want {
 						t.Fatalf("step %d: Pop(%d, %d) = %d, want %d", step, link, vc, got, want)
 					}
 					ref[link][vc] = ref[link][vc][1:]
+					free = append(free, got)
 				case 2:
 					want := int32(-1)
 					for i := 0; i < numVC; i++ {
@@ -57,8 +68,17 @@ func TestPickMatchesModuloScan(t *testing.T) {
 						t.Fatalf("step %d: Pick(%d) head = %d, want %d", step, link, head, ref[link][want][0])
 					}
 				}
-				if got, want := q.Len(link, vc), len(ref[link][vc]); got != want {
-					t.Fatalf("step %d: Len(%d, %d) = %d, want %d", step, link, vc, got, want)
+				for c := int32(0); int(c) < numVC; c++ {
+					wantHead := int32(-1)
+					if len(ref[link][c]) > 0 {
+						wantHead = ref[link][c][0]
+					}
+					if got := q.Head(link, c); got != wantHead {
+						t.Fatalf("step %d: Head(%d, %d) = %d, want %d", step, link, c, got, wantHead)
+					}
+					if got, want := q.Len(link, c), len(ref[link][c]); got != want {
+						t.Fatalf("step %d: Len(%d, %d) = %d, want %d", step, link, c, got, want)
+					}
 				}
 			}
 		})
