@@ -60,9 +60,11 @@ race-faults:
 	go test -race -run Fault ./...
 
 # The path DB mixes lock-free packed-store reads with mutex-guarded lazy
-# fills; run its concurrency regression tests under the race detector.
+# fills; run its concurrency regression tests under the race detector,
+# and the rEDKSP builds on 1 to 16 workers (AcrossWorkers), so every
+# worker's search engine and RNG state runs under it too.
 race-paths:
-	go test -race -run 'Race|Concurrent' ./internal/paths
+	go test -race -run 'Race|Concurrent|AcrossWorkers' ./internal/paths
 
 # jfserve serves one goroutine per connection over shared DBs; hammer
 # routes-batch from concurrent clients and exercise shutdown draining

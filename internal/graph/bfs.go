@@ -27,12 +27,19 @@ const (
 // method express their temporary graph modifications without copying the
 // graph.
 //
-// Search state and bans are epoch marks rather than cleared arrays: a node
-// is discovered in the current search when seenEpoch[u] == epoch, banned
-// when banEpoch[u] == banCur, and directed link l (its CSR arena position)
-// is banned when linkBan[l] == banCur. A new search or ClearBans is one
-// increment; when a counter wraps, its arrays are cleared and it restarts
-// at 1, since marks left 2^32 epochs ago would otherwise read as current.
+// Search state is one packed word per node in each of two arrays:
+// mark[v] = epoch<<32 | level says that v was reached at hop distance
+// level in the search numbered epoch, and pred[v] = parent<<32 | ties
+// holds v's chosen predecessor and how many equal-distance discoverers
+// have voted for it. A node is undiscovered in the current search exactly
+// when mark[v] < epoch<<32, so a new search is one increment of epoch. A
+// banned node is pre-marked at the start of every search as reached at
+// level banLevel, which no search reaches: it then reads as discovered and
+// never as a tie, and the scan needs no per-node ban load. Directed link l
+// (its CSR arena position) is banned when linkBan[l] == banCur, and
+// ClearBans is one increment of banCur plus truncating the banned-node
+// list. When a counter wraps, its array is cleared and it restarts at 1,
+// since marks left 2^32 epochs ago would otherwise read as current.
 //
 // An SPEngine is not safe for concurrent use; parallel workers each create
 // their own engine over the shared immutable Graph.
@@ -41,18 +48,20 @@ type SPEngine struct {
 	tie TieBreak
 	rng *xrand.RNG
 
-	dist      []int32
-	parent    []NodeID
-	parentCnt []int32
-	seenEpoch []uint32
-	epoch     uint32
+	mark  []uint64 // per node: search epoch << 32 | level
+	pred  []uint64 // per node: parent << 32 | tie count
+	epoch uint32
 
-	banEpoch []uint32 // per node
-	linkBan  []uint32 // per directed link
-	banCur   uint32
+	bannedNodes []NodeID // node bans since ClearBans, pre-marked per search
+	linkBan     []uint32 // per directed link
+	banCur      uint32
 
-	frontier, next []NodeID
+	queue []NodeID // per node: the current search's nodes in discovery order
 }
+
+// banLevel is the level a banned node is pre-marked at; searches never get
+// that deep, since a level is below the node count.
+const banLevel = 1<<32 - 1
 
 // NewSPEngine returns an engine over g. rng is required for TieRandom and
 // ignored for TieDeterministic.
@@ -62,24 +71,19 @@ func NewSPEngine(g *Graph, tie TieBreak, rng *xrand.RNG) *SPEngine {
 	}
 	n := g.NumNodes()
 	return &SPEngine{
-		g:         g,
-		tie:       tie,
-		rng:       rng,
-		dist:      make([]int32, n),
-		parent:    make([]NodeID, n),
-		parentCnt: make([]int32, n),
-		seenEpoch: make([]uint32, n),
-		banEpoch:  make([]uint32, n),
-		linkBan:   make([]uint32, len(g.nbr)),
-		banCur:    1,
+		g:       g,
+		tie:     tie,
+		rng:     rng,
+		mark:    make([]uint64, n),
+		pred:    make([]uint64, n),
+		queue:   make([]NodeID, n),
+		linkBan: make([]uint32, len(g.nbr)),
+		banCur:  1,
 	}
 }
 
 // BanNode excludes u from subsequent searches until ClearBans.
-func (e *SPEngine) BanNode(u NodeID) { e.banEpoch[u] = e.banCur }
-
-// NodeBanned reports whether u is currently banned.
-func (e *SPEngine) NodeBanned(u NodeID) bool { return e.banEpoch[u] == e.banCur }
+func (e *SPEngine) BanNode(u NodeID) { e.bannedNodes = append(e.bannedNodes, u) }
 
 // BanDirectedEdge excludes traversals u→v (but not v→u) until ClearBans.
 // Banning a non-edge is a no-op.
@@ -99,22 +103,13 @@ func (e *SPEngine) BanUndirectedEdge(u, v NodeID) {
 }
 
 // ClearBans removes all node and edge bans in O(1), plus one clear of the
-// ban arrays every 2^32 calls, when banCur wraps.
+// link-ban array every 2^32 calls, when banCur wraps.
 func (e *SPEngine) ClearBans() {
+	e.bannedNodes = e.bannedNodes[:0]
 	e.banCur++
 	if e.banCur == 0 {
-		clear(e.banEpoch)
 		clear(e.linkBan)
 		e.banCur = 1
-	}
-}
-
-// newSearch starts a search epoch, so that no node reads as discovered.
-func (e *SPEngine) newSearch() {
-	e.epoch++
-	if e.epoch == 0 {
-		clear(e.seenEpoch)
-		e.epoch = 1
 	}
 }
 
@@ -128,78 +123,29 @@ func (e *SPEngine) newSearch() {
 //
 // A banned src or dst makes the search fail.
 func (e *SPEngine) ShortestPath(src, dst NodeID) (Path, bool) {
-	if e.NodeBanned(src) || e.NodeBanned(dst) {
+	if !e.search(src, dst, e.tie == TieRandom) {
 		return nil, false
 	}
-	if src == dst {
-		return Path{src}, true
-	}
-	e.newSearch()
-	e.seenEpoch[src] = e.epoch
-	e.dist[src] = 0
-	e.parent[src] = -1
-	e.frontier = append(e.frontier[:0], src)
-
-	det := e.tie == TieDeterministic
-	for level := int32(0); len(e.frontier) > 0; level++ {
-		if !det {
-			xrand.ShuffleSlice(e.rng, e.frontier)
-		}
-		e.next = e.next[:0]
-		for _, u := range e.frontier {
-			lo, hi := e.g.start[u], e.g.start[u+1]
-			bans := e.linkBan[lo:hi]
-			for i, v := range e.g.nbr[lo:hi] {
-				if e.banEpoch[v] == e.banCur || bans[i] == e.banCur {
-					continue
-				}
-				if e.seenEpoch[v] != e.epoch {
-					e.seenEpoch[v] = e.epoch
-					e.dist[v] = level + 1
-					e.parent[v] = u
-					e.parentCnt[v] = 1
-					if det && v == dst {
-						return e.extract(src, dst), true
-					}
-					e.next = append(e.next, v)
-				} else if !det && e.dist[v] == level+1 {
-					// Reservoir-sample a uniform predecessor among all
-					// equal-distance discoverers.
-					e.parentCnt[v]++
-					if e.rng.IntN(int(e.parentCnt[v])) == 0 {
-						e.parent[v] = u
-					}
-				}
-			}
-		}
-		if e.seenEpoch[dst] == e.epoch {
-			// dst was discovered in the level just expanded; all its
-			// potential predecessors have voted, so the parent choice is
-			// final.
-			return e.extract(src, dst), true
-		}
-		e.frontier, e.next = e.next, e.frontier
-	}
-	return nil, false
-}
-
-func (e *SPEngine) extract(src, dst NodeID) Path {
-	n := int(e.dist[dst]) + 1
+	n := uint32(e.mark[dst]) + 1
 	p := make(Path, n)
 	u := dst
-	for i := n - 1; i >= 0; i-- {
+	for i := int(n) - 1; i >= 0; i-- {
 		p[i] = u
-		u = e.parent[u]
+		u = NodeID(e.pred[u] >> 32)
 	}
 	if p[0] != src {
 		panic("graph: path extraction lost the source")
 	}
-	return p
+	return p, true
 }
 
 // AllDistancesFrom fills dist with hop distances from src to every node,
 // using -1 for unreachable nodes. Bans are respected. dist must have length
-// NumNodes.
+// NumNodes. It draws no random numbers, whatever the engine's tie mode.
+//
+// It runs its own scan over the search state rather than search's loop:
+// whole-graph scans are ComputeMetrics' entire cost, and they ran about
+// 1.4 times slower through search's loop.
 func (e *SPEngine) AllDistancesFrom(src NodeID, dist []int32) {
 	if len(dist) != e.g.NumNodes() {
 		panic("graph: dist slice has wrong length")
@@ -207,27 +153,120 @@ func (e *SPEngine) AllDistancesFrom(src NodeID, dist []int32) {
 	for i := range dist {
 		dist[i] = -1
 	}
-	if e.NodeBanned(src) {
+	cur := e.begin()
+	if e.mark[src] == cur|banLevel {
 		return
 	}
-	e.newSearch()
-	e.seenEpoch[src] = e.epoch
+	e.mark[src] = cur
 	dist[src] = 0
-	e.frontier = append(e.frontier[:0], src)
-	for level := int32(0); len(e.frontier) > 0; level++ {
-		e.next = e.next[:0]
-		for _, u := range e.frontier {
+	e.queue[0] = src
+	head, tail := 0, 1
+	for level := int32(0); head < tail; level++ {
+		for end := tail; head < end; head++ {
+			u := e.queue[head]
 			lo, hi := e.g.start[u], e.g.start[u+1]
 			bans := e.linkBan[lo:hi]
 			for i, v := range e.g.nbr[lo:hi] {
-				if e.seenEpoch[v] == e.epoch || e.banEpoch[v] == e.banCur || bans[i] == e.banCur {
+				if e.mark[v] >= cur || bans[i] == e.banCur {
 					continue
 				}
-				e.seenEpoch[v] = e.epoch
+				e.mark[v] = cur | uint64(level+1)
 				dist[v] = level + 1
-				e.next = append(e.next, v)
+				e.queue[tail] = v
+				tail++
 			}
 		}
-		e.frontier, e.next = e.next, e.frontier
 	}
+}
+
+// begin starts a search: it moves to a new epoch, so that no node reads as
+// discovered, pre-marks the banned nodes, and returns the epoch's base
+// mark, cur = epoch<<32.
+func (e *SPEngine) begin() uint64 {
+	e.epoch++
+	if e.epoch == 0 {
+		clear(e.mark)
+		e.epoch = 1
+	}
+	cur := uint64(e.epoch) << 32
+	for _, u := range e.bannedNodes {
+		e.mark[u] = cur | banLevel
+	}
+	return cur
+}
+
+// search runs one breadth-first search from src under the current bans,
+// leaving levels and predecessors in mark and pred, and reports whether
+// dst was reached. The queue holds the discovered nodes in discovery
+// order, so each level's frontier is one segment of it. Without random,
+// each node keeps its first discoverer, frontiers are scanned in
+// discovery order, and the search returns as soon as dst is discovered.
+// With random, which is TieRandom's RNG contract, each frontier is
+// shuffled before it is scanned, every arc into a node already discovered
+// at the next level draws IntN(ties) in scan order to reservoir-sample the
+// predecessor, and dst's level is finished before the search returns.
+//
+// The loop reads the engine's slices through e rather than copying them
+// into locals: with locals, the compiler spilled and reloaded them around
+// the draw calls on every arc, and searches ran up to 1.3 times slower.
+func (e *SPEngine) search(src, dst NodeID, random bool) bool {
+	cur := e.begin()
+	if e.mark[src] == cur|banLevel || e.mark[dst] == cur|banLevel {
+		return false
+	}
+	e.mark[src] = cur
+	if src == dst {
+		return true
+	}
+	// stop is the node whose discovery ends the scan: dst, unless the
+	// search is random and must finish dst's level.
+	stop := dst
+	if random {
+		stop = -1
+	}
+	e.queue[0] = src
+	head, tail := 0, 1
+	for level := uint64(1); head < tail; level++ {
+		end := tail
+		if random {
+			xrand.ShuffleSlice(e.rng, e.queue[head:end])
+		}
+		here := cur | level // the mark of a node first reached from this frontier
+		tie := uint64(0)    // the mark whose arcs draw; 0 matches no node
+		if random {
+			tie = here
+		}
+		for ; head < end; head++ {
+			u := e.queue[head]
+			lo, hi := e.g.start[u], e.g.start[u+1]
+			bans := e.linkBan[lo:hi]
+			for i, v := range e.g.nbr[lo:hi] {
+				if m := e.mark[v]; m < cur {
+					if bans[i] == e.banCur {
+						continue
+					}
+					e.mark[v] = here
+					e.pred[v] = uint64(u)<<32 | 1
+					if v == stop {
+						return true
+					}
+					e.queue[tail] = v
+					tail++
+				} else if m == tie && bans[i] != e.banCur {
+					p := e.pred[v] + 1
+					if e.rng.IntN(int(uint32(p))) == 0 {
+						p = uint64(u)<<32 | uint64(uint32(p))
+					}
+					e.pred[v] = p
+				}
+			}
+		}
+		if e.mark[dst] >= cur {
+			// dst was discovered in the level just expanded; all its
+			// potential predecessors have voted, so the parent choice is
+			// final.
+			return true
+		}
+	}
+	return false
 }

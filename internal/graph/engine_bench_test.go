@@ -1,0 +1,61 @@
+package graph_test
+
+import (
+	"testing"
+
+	"repro/internal/graph"
+	"repro/internal/jellyfish"
+	"repro/internal/xrand"
+)
+
+var pathSink graph.Path
+
+// BenchmarkShortestPath times one ShortestPath search on RRG(720,24,19),
+// the paper's medium instance, in both tie modes, cycling through 256
+// fixed pairs. "unbanned" searches the whole graph every time;
+// "remove-find" runs Remove-Find's sequence per pair, so after each found
+// path its links are banned and the pair is searched again, up to 8
+// paths, before the bans are cleared for the next pair. ns/op is per
+// search, ban calls included.
+//
+//	go test ./internal/graph -run '^$' -bench ShortestPath -benchmem
+func BenchmarkShortestPath(b *testing.B) {
+	g := jellyfish.MustNew(jellyfish.Medium, xrand.New(1)).G
+	rng := xrand.New(2)
+	pairs := make([][2]graph.NodeID, 256)
+	for i := range pairs {
+		s, d := rng.TwoDistinct(g.NumNodes())
+		pairs[i] = [2]graph.NodeID{graph.NodeID(s), graph.NodeID(d)}
+	}
+	for _, tie := range []struct {
+		name string
+		tie  graph.TieBreak
+	}{{"det", graph.TieDeterministic}, {"random", graph.TieRandom}} {
+		b.Run(tie.name+"/unbanned", func(b *testing.B) {
+			e := graph.NewSPEngine(g, tie.tie, xrand.New(3))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				pr := pairs[i%len(pairs)]
+				pathSink, _ = e.ShortestPath(pr[0], pr[1])
+			}
+		})
+		b.Run(tie.name+"/remove-find", func(b *testing.B) {
+			e := graph.NewSPEngine(g, tie.tie, xrand.New(3))
+			pair, found := 0, 0
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				pr := pairs[pair]
+				p, ok := e.ShortestPath(pr[0], pr[1])
+				if found++; !ok || found == 8 {
+					e.ClearBans()
+					pair, found = (pair+1)%len(pairs), 0
+					continue
+				}
+				for j := 0; j+1 < len(p); j++ {
+					e.BanUndirectedEdge(p[j], p[j+1])
+				}
+				pathSink = p
+			}
+		})
+	}
+}

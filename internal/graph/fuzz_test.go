@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/xrand"
@@ -75,12 +76,16 @@ func (r *refBans) respects(p Path) bool {
 
 // FuzzEngineBans drives a deterministic and a randomized SPEngine through a
 // script of node bans, directed and undirected edge bans (non-edges and
-// repeats included), ClearBans calls and queries on a small graph, and
-// checks every answer against the queue-BFS oracle. The deterministic
-// engine must return exactly the oracle's path, which also pins that its
-// early exit at dst keeps dst's first discoverer; the randomized one must
-// return a valid, ban-respecting path of the oracle's length. Both must
-// return exactly the oracle's distances.
+// repeats included), ClearBans calls, counter jumps to just below their
+// wrap, and queries on a small graph, and checks every answer against the
+// oracles. The deterministic engine must return exactly the path of the
+// queue BFS and of the pre-packing search loop (refBans.search), which
+// also pins that its early exit at dst keeps dst's first discoverer. The
+// randomized one must return exactly the pre-packing loop's path, run on
+// an RNG seeded alike, and leave its RNG where that loop leaves the
+// oracle's: the next Uint64 of both must be equal after every query and
+// distance scan. Both engines must return exactly the queue BFS's
+// distances.
 //
 // Input: byte 0 sizes the graph (2..17 nodes), byte 1 counts its edge
 // draws, then two bytes per edge draw, then a script of 3-byte ops.
@@ -120,11 +125,17 @@ func FuzzEngineBans(f *testing.F) {
 		}
 		g := b.Graph()
 		det := NewSPEngine(g, TieDeterministic, nil)
-		rnd := NewSPEngine(g, TieRandom, xrand.New(uint64(n)))
+		rndRNG, refRNG := xrand.New(uint64(n)), xrand.New(uint64(n))
+		rnd := NewSPEngine(g, TieRandom, rndRNG)
 		ref := newRefBans()
 		dist := make([]int32, n)
+		checkRNG := func(step int) {
+			if got, want := rndRNG.Uint64(), refRNG.Uint64(); got != want {
+				t.Fatalf("step %d: random engine's next word %x, oracle's %x", step, got, want)
+			}
+		}
 		for step := 0; len(data) > 0; step++ {
-			op, u, v := next()%6, NodeID(next()%n), NodeID(next()%n)
+			op, u, v := next()%7, NodeID(next()%n), NodeID(next()%n)
 			switch op {
 			case 0:
 				det.BanNode(u)
@@ -149,6 +160,9 @@ func FuzzEngineBans(f *testing.F) {
 				if ok != wantOK || !got.Equal(want) {
 					t.Fatalf("step %d: deterministic %d->%d = %v, %v; oracle %v, %v", step, u, v, got, ok, want, wantOK)
 				}
+				if p, pOK := ref.search(g, TieDeterministic, nil, u, v); pOK != ok || !p.Equal(got) {
+					t.Fatalf("step %d: deterministic %d->%d = %v, %v; pre-packing search %v, %v", step, u, v, got, ok, p, pOK)
+				}
 				got, ok = rnd.ShortestPath(u, v)
 				if ok != wantOK {
 					t.Fatalf("step %d: random %d->%d found=%v, oracle %v", step, u, v, ok, wantOK)
@@ -157,6 +171,11 @@ func FuzzEngineBans(f *testing.F) {
 					!got.ValidIn(g) || !got.Loopless() || !ref.respects(got)) {
 					t.Fatalf("step %d: random %d->%d = %v, oracle %v", step, u, v, got, want)
 				}
+				want, wantOK = ref.search(g, TieRandom, refRNG, u, v)
+				if ok != wantOK || !got.Equal(want) {
+					t.Fatalf("step %d: random %d->%d = %v, %v; pre-packing search %v, %v", step, u, v, got, ok, want, wantOK)
+				}
+				checkRNG(step)
 			case 5:
 				_, want := ref.bfs(g, u)
 				for _, e := range []*SPEngine{det, rnd} {
@@ -166,6 +185,21 @@ func FuzzEngineBans(f *testing.F) {
 							t.Fatalf("step %d: distances from %d = %v, oracle %v", step, u, dist, want)
 						}
 					}
+				}
+				checkRNG(step)
+			case 6:
+				// Jump the search counter forward to within four searches
+				// of its wrap (counters never run backwards); an odd v
+				// also wraps the ban counter, which clears every ban.
+				for _, e := range []*SPEngine{det, rnd} {
+					e.epoch = max(e.epoch, math.MaxUint32-uint32(u%4))
+					if v%2 == 1 {
+						e.banCur = math.MaxUint32
+						e.ClearBans()
+					}
+				}
+				if v%2 == 1 {
+					ref = newRefBans()
 				}
 			}
 		}

@@ -134,6 +134,8 @@ type ugalMech struct{ bias int }
 // LoadEstimator, with no bias toward either (the paper's setting). The
 // minimal path is the pair's shortest candidate; the non-minimal path is
 // the concatenation of the shortest paths to and from the intermediate.
+// With fewer than three switches there is no intermediate, and the
+// minimal path is taken without a draw.
 func VanillaUGAL() Mechanism { return ugalMech{} }
 
 // VanillaUGALBiased is VanillaUGAL with an additive bias (in queue-cycle
@@ -167,6 +169,9 @@ func (st *ugalState) Choose(v *View, src, dst graph.NodeID, load LoadEstimator, 
 		return nil, -1
 	}
 	minPath := ps[0]
+	if v.NumNodes < 3 {
+		return minPath, 0 // no switch can be the intermediate
+	}
 	// Random intermediate different from both endpoints.
 	mid := randomIntermediate(v.NumNodes, src, dst, rng)
 	nonMin := st.compose(firstPath(v, src, mid), firstPath(v, mid, dst))
@@ -186,6 +191,9 @@ func (st *ugalState) chooseDegraded(v *View, src, dst graph.NodeID, load LoadEst
 	}
 	minIdx := faults.FirstSet(mask)
 	minPath := ps[minIdx]
+	if v.NumNodes < 3 {
+		return minPath, minIdx
+	}
 	mid := randomIntermediate(v.NumNodes, src, dst, rng)
 	la, ma := v.LiveCandidates(src, mid)
 	lb, mb := v.LiveCandidates(mid, dst)
@@ -199,7 +207,8 @@ func (st *ugalState) chooseDegraded(v *View, src, dst graph.NodeID, load LoadEst
 	return minPath, minIdx
 }
 
-// randomIntermediate draws a switch different from both endpoints.
+// randomIntermediate draws a switch different from both endpoints, of
+// which there must be at least three.
 func randomIntermediate(n int, src, dst graph.NodeID, rng *xrand.RNG) graph.NodeID {
 	for {
 		mid := graph.NodeID(rng.IntN(n))

@@ -3,7 +3,9 @@ package routing
 import (
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/faults"
 	"repro/internal/graph"
 	"repro/internal/xrand"
 )
@@ -214,5 +216,60 @@ func TestUGALDivertsOnlyUnderLoad(t *testing.T) {
 	}
 	if p[0] != 0 || p[len(p)-1] != 2 {
 		t.Fatalf("detour endpoints wrong: %v", p)
+	}
+}
+
+// TestUGALTwoSwitches pins that UGAL answers on a topology of two
+// switches, where no switch can be the Valiant intermediate: it must take
+// the minimal candidate without drawing, in the healthy branch and in the
+// degraded one (faults active on a link the pair does not use). Each
+// choice gets a deadline, since an intermediate draw that cannot succeed
+// never returns.
+func TestUGALTwoSwitches(t *testing.T) {
+	prov := mapProvider{
+		{0, 1}: {graph.Path{0, 1}},
+		{1, 0}: {graph.Path{1, 0}},
+	}
+	b := graph.NewBuilder(3)
+	b.AddEdge(0, 1)
+	b.AddEdge(0, 2)
+	b.AddEdge(1, 2)
+	fst, err := faults.NewState(b.Graph(), faults.MustSchedule([]faults.Event{{At: 0, U: 1, V: 2}}), faults.Policy{}, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fst.Advance(0)
+	// Any detour would look cheaper than the loaded minimal path.
+	load := funcEstimator(func(p graph.Path) int { return 100 - len(p) })
+	for _, c := range []struct {
+		name string
+		view *View
+	}{
+		{"healthy", &View{Provider: prov, NumNodes: 2, MaxHops: 8}},
+		{"degraded", &View{Provider: prov, Faults: fst, NumNodes: 2, MaxHops: 8}},
+	} {
+		if c.name == "degraded" && !c.view.Degraded() {
+			t.Fatal("fault state is not active")
+		}
+		rng := xrand.New(5)
+		next := xrand.New(5).Uint64()
+		done := make(chan struct{})
+		var p graph.Path
+		var idx int
+		go func() {
+			defer close(done)
+			p, idx = VanillaUGAL().NewState().Choose(c.view, 0, 1, load, rng)
+		}()
+		select {
+		case <-done:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s: UGAL Choose 0->1 on two switches did not return within 2 s", c.name)
+		}
+		if idx != 0 || !p.Equal(graph.Path{0, 1}) {
+			t.Fatalf("%s: UGAL chose %v (idx %d), want the minimal path 0-1", c.name, p, idx)
+		}
+		if rng.Uint64() != next {
+			t.Fatalf("%s: UGAL drew from the RNG with no intermediate to draw", c.name)
+		}
 	}
 }

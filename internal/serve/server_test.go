@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/serve"
 	"repro/internal/serve/client"
@@ -119,6 +120,29 @@ func TestRouteRoundTrip(t *testing.T) {
 	}
 	if r.Hops != len(r.Path)-1 {
 		t.Fatalf("hops %d for path of %d nodes", r.Hops, len(r.Path))
+	}
+}
+
+// TestRouteUGALTwoSwitches loads the smallest valid topology, two
+// switches joined by one link, under UGAL, and requires route to answer
+// both directions with the direct link: there is no switch to serve as
+// UGAL's Valiant intermediate.
+func TestRouteUGALTwoSwitches(t *testing.T) {
+	c := dial(t)
+	res, err := c.TopoLoad(bg, serve.TopoParams{N: 2, X: 2, Y: 1, Selector: "KSP", K: 2, Mechanism: "ugal"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pr := range [][2]int32{{0, 1}, {1, 0}} {
+		ctx, cancel := context.WithTimeout(bg, 2*time.Second)
+		r, err := c.Route(ctx, res.Key, pr[0], pr[1])
+		cancel()
+		if err != nil {
+			t.Fatalf("route %d->%d: %v", pr[0], pr[1], err)
+		}
+		if r.Index != 0 || r.Hops != 1 || len(r.Path) != 2 || r.Path[0] != pr[0] || r.Path[1] != pr[1] {
+			t.Fatalf("route %d->%d = %+v, want the direct link", pr[0], pr[1], r)
+		}
 	}
 }
 

@@ -4,22 +4,30 @@
 // All randomized algorithms in this module (RRG construction, randomized
 // shortest-path tie-breaking, traffic pattern generation, adaptive routing
 // candidate sampling, ...) draw from explicitly seeded sources so that every
-// experiment is reproducible from its seed. The package wraps math/rand/v2
-// PCG sources and adds a few helpers that the standard library does not
-// provide: stream splitting (independent child streams derived from a parent
-// seed), slice shuffling for arbitrary element types, and weighted and
-// exclusive integer sampling.
+// experiment is reproducible from its seed. An RNG is a concrete PCG: it
+// holds a math/rand/v2 rand.PCG by value and implements each draw with
+// math/rand/v2's own algorithm (Lemire's multiply-and-reject reduction for
+// IntN and Int64N, the 53-bit Float64, the Fisher–Yates Shuffle and Perm),
+// so its streams are exactly those of rand.New(rand.NewPCG(hi, lo)), while
+// a draw is a direct call rather than one through the rand.Source
+// interface, and Reseed allocates nothing. The package adds a few helpers
+// that the standard library does not provide: stream splitting
+// (independent child streams derived from a parent seed), closure-free
+// slice shuffling for arbitrary element types, and exclusive integer
+// sampling.
 package xrand
 
 import (
+	"math/bits"
 	"math/rand/v2"
 )
 
-// RNG is a deterministic pseudo-random number generator. It is a thin wrapper
-// around *rand.Rand (PCG) adding split and sampling helpers. RNG is not safe
-// for concurrent use; use Split to derive independent per-goroutine streams.
+// RNG is a deterministic pseudo-random number generator: a PCG with split
+// and sampling helpers, whose every draw matches math/rand/v2's *rand.Rand
+// over the same PCG. RNG is not safe for concurrent use; use Split to
+// derive independent per-goroutine streams.
 type RNG struct {
-	r *rand.Rand
+	pcg rand.PCG
 	// seed material retained so children can be derived deterministically.
 	hi, lo  uint64
 	nextKid uint64
@@ -32,7 +40,9 @@ func New(seed uint64) *RNG {
 
 // NewPair returns an RNG seeded from two 64-bit words.
 func NewPair(hi, lo uint64) *RNG {
-	return &RNG{r: rand.New(rand.NewPCG(hi, lo)), hi: hi, lo: lo}
+	g := new(RNG)
+	g.Reseed(hi, lo)
+	return g
 }
 
 // Split derives a new, statistically independent RNG from this one. Children
@@ -50,7 +60,7 @@ func (g *RNG) Split() *RNG {
 // every work item (e.g. every source-destination pair) its own
 // schedule-independent stream.
 func (g *RNG) Reseed(hi, lo uint64) {
-	g.r = rand.New(rand.NewPCG(hi, lo))
+	g.pcg.Seed(hi, lo)
 	g.hi, g.lo = hi, lo
 	g.nextKid = 0
 }
@@ -69,26 +79,85 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
+// uint64n returns a uniform value in [0, n) for n > 0 by math/rand/v2's
+// rule, so it consumes the same words and returns the same values: a
+// power of two masks one word; otherwise the high word of x*n is the
+// result, and x is redrawn while the low word falls below 2^64 mod n
+// (Lemire, "Fast random integer generation in an interval", 2019). The
+// remainder is computed only when the low word is below n, which almost
+// never happens for small n. Both cases are computed from the first word
+// and the power-of-two one is selected without a branch, since reservoir
+// sampling's bounds 2, 3, 4, 5, ... alternate between them unpredictably.
+func (g *RNG) uint64n(n uint64) uint64 {
+	x := g.pcg.Uint64()
+	hi, lo := bits.Mul64(x, n)
+	if n&(n-1) == 0 {
+		hi, lo = x&(n-1), n // masked, and never rejected
+	}
+	if lo < n {
+		thresh := -n % n
+		for lo < thresh {
+			hi, lo = bits.Mul64(g.pcg.Uint64(), n)
+		}
+	}
+	return hi
+}
+
 // IntN returns a uniform int in [0, n). It panics if n <= 0.
-func (g *RNG) IntN(n int) int { return g.r.IntN(n) }
+func (g *RNG) IntN(n int) int {
+	if n <= 0 {
+		panic("xrand: IntN needs n > 0")
+	}
+	return int(g.uint64n(uint64(n)))
+}
 
 // Int64N returns a uniform int64 in [0, n). It panics if n <= 0.
-func (g *RNG) Int64N(n int64) int64 { return g.r.Int64N(n) }
+func (g *RNG) Int64N(n int64) int64 {
+	if n <= 0 {
+		panic("xrand: Int64N needs n > 0")
+	}
+	return int64(g.uint64n(uint64(n)))
+}
 
 // Uint64 returns a uniform 64-bit value.
-func (g *RNG) Uint64() uint64 { return g.r.Uint64() }
+func (g *RNG) Uint64() uint64 { return g.pcg.Uint64() }
 
-// Float64 returns a uniform float64 in [0, 1).
-func (g *RNG) Float64() float64 { return g.r.Float64() }
+// Float64 returns a uniform float64 in [0, 1): one of the 2^53 multiples of
+// 2^-53 there, from the low 53 bits of one word.
+func (g *RNG) Float64() float64 { return float64(g.pcg.Uint64()<<11>>11) / (1 << 53) }
 
 // Bool returns true with probability 1/2.
-func (g *RNG) Bool() bool { return g.r.Uint64()&1 == 1 }
+func (g *RNG) Bool() bool { return g.pcg.Uint64()&1 == 1 }
 
 // Perm returns a random permutation of [0, n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
+func (g *RNG) Perm(n int) []int {
+	p := make([]int, n)
+	for i := range p {
+		p[i] = i
+	}
+	ShuffleSlice(g, p)
+	return p
+}
 
-// Shuffle shuffles n elements using the provided swap function.
-func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
+// Shuffle shuffles n elements using the provided swap function, by
+// Fisher–Yates from the last element down. It panics if n < 0.
+func (g *RNG) Shuffle(n int, swap func(i, j int)) {
+	if n < 0 {
+		panic("xrand: Shuffle needs n >= 0")
+	}
+	for i := n - 1; i > 0; i-- {
+		swap(i, int(g.uint64n(uint64(i+1))))
+	}
+}
+
+// ShuffleSlice shuffles s in place, drawing exactly as Shuffle(len(s), ...)
+// does.
+func ShuffleSlice[T any](g *RNG, s []T) {
+	for i := len(s) - 1; i > 0; i-- {
+		j := int(g.uint64n(uint64(i + 1)))
+		s[i], s[j] = s[j], s[i]
+	}
+}
 
 // IntNExcept returns a uniform int in [0, n) that is different from excl.
 // It panics if n <= 1.
@@ -96,7 +165,7 @@ func (g *RNG) IntNExcept(n, excl int) int {
 	if n <= 1 {
 		panic("xrand: IntNExcept needs n > 1")
 	}
-	v := g.r.IntN(n - 1)
+	v := g.IntN(n - 1)
 	if v >= excl {
 		v++
 	}
@@ -106,7 +175,7 @@ func (g *RNG) IntNExcept(n, excl int) int {
 // TwoDistinct returns two distinct uniform ints in [0, n). It panics if
 // n <= 1.
 func (g *RNG) TwoDistinct(n int) (int, int) {
-	a := g.r.IntN(n)
+	a := g.IntN(n)
 	return a, g.IntNExcept(n, a)
 }
 
@@ -123,18 +192,13 @@ func (g *RNG) SampleK(n, k int) []int {
 	chosen := make(map[int]struct{}, k)
 	out := make([]int, 0, k)
 	for j := n - k; j < n; j++ {
-		t := g.r.IntN(j + 1)
+		t := g.IntN(j + 1)
 		if _, dup := chosen[t]; dup {
 			t = j
 		}
 		chosen[t] = struct{}{}
 		out = append(out, t)
 	}
-	g.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+	ShuffleSlice(g, out)
 	return out
-}
-
-// ShuffleSlice shuffles s in place.
-func ShuffleSlice[T any](g *RNG, s []T) {
-	g.Shuffle(len(s), func(i, j int) { s[i], s[j] = s[j], s[i] })
 }

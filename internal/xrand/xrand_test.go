@@ -1,6 +1,8 @@
 package xrand
 
 import (
+	"math/rand/v2"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -237,4 +239,229 @@ func TestInt64N(t *testing.T) {
 			t.Fatalf("Int64N out of range: %d", v)
 		}
 	}
+}
+
+// refSampleK, refTwoDistinct and refIntNExcept are the sampling helpers
+// written over math/rand/v2's *rand.Rand, the reference TestMatchesMathRand
+// pins the RNG's own helpers to.
+func refSampleK(r *rand.Rand, n, k int) []int {
+	if k == 0 {
+		return nil
+	}
+	chosen := map[int]bool{}
+	out := make([]int, 0, k)
+	for j := n - k; j < n; j++ {
+		t := r.IntN(j + 1)
+		if chosen[t] {
+			t = j
+		}
+		chosen[t] = true
+		out = append(out, t)
+	}
+	r.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+	return out
+}
+
+func refIntNExcept(r *rand.Rand, n, excl int) int {
+	v := r.IntN(n - 1)
+	if v >= excl {
+		v++
+	}
+	return v
+}
+
+func refTwoDistinct(r *rand.Rand, n int) [2]int {
+	a := r.IntN(n)
+	return [2]int{a, refIntNExcept(r, n, a)}
+}
+
+// TestMatchesMathRand runs one script of every draw, with small, odd,
+// power-of-two and huge bounds, on the RNG and on math/rand/v2's
+// rand.New(rand.NewPCG(hi, lo)) over the same seed words, and requires
+// equal results draw by draw: from a fresh RNG, after Reseed, and in a
+// Split child. Int64N(1<<62+1) rejects about a quarter of its words, so a
+// rejection rule other than math/rand/v2's desynchronizes the streams at
+// once; the final Uint64 checks that both consumed the same words.
+func TestMatchesMathRand(t *testing.T) {
+	bounds := []int{1, 2, 3, 5, 7, 8, 64, 100, 1 << 20, 1<<20 + 7, 1<<62 + 1}
+	script := []struct {
+		name string
+		draw func(g *RNG, r *rand.Rand) (got, want any)
+	}{
+		{"Uint64", func(g *RNG, r *rand.Rand) (any, any) { return g.Uint64(), r.Uint64() }},
+		{"Float64", func(g *RNG, r *rand.Rand) (any, any) { return g.Float64(), r.Float64() }},
+		{"Bool", func(g *RNG, r *rand.Rand) (any, any) { return g.Bool(), r.Uint64()&1 == 1 }},
+		{"IntN", func(g *RNG, r *rand.Rand) (any, any) {
+			var got, want []int
+			for _, n := range bounds {
+				got, want = append(got, g.IntN(n)), append(want, r.IntN(n))
+			}
+			return got, want
+		}},
+		{"Int64N", func(g *RNG, r *rand.Rand) (any, any) {
+			var got, want []int64
+			for _, n := range bounds {
+				got, want = append(got, g.Int64N(int64(n))), append(want, r.Int64N(int64(n)))
+			}
+			for i := 0; i < 64; i++ {
+				got, want = append(got, g.Int64N(1<<62+1)), append(want, r.Int64N(1<<62+1))
+			}
+			return got, want
+		}},
+		{"Perm", func(g *RNG, r *rand.Rand) (any, any) {
+			var got, want [][]int
+			for _, n := range []int{0, 1, 2, 7, 8, 33} {
+				got, want = append(got, g.Perm(n)), append(want, r.Perm(n))
+			}
+			return got, want
+		}},
+		{"Shuffle", func(g *RNG, r *rand.Rand) (any, any) {
+			a, b := make([]int, 41), make([]int, 41)
+			for i := range a {
+				a[i], b[i] = i, i
+			}
+			g.Shuffle(len(a), func(i, j int) { a[i], a[j] = a[j], a[i] })
+			r.Shuffle(len(b), func(i, j int) { b[i], b[j] = b[j], b[i] })
+			return a, b
+		}},
+		{"ShuffleSlice", func(g *RNG, r *rand.Rand) (any, any) {
+			var got, want [][]string
+			for _, n := range []int{0, 1, 2, 5, 16, 300} {
+				a, b := make([]string, n), make([]string, n)
+				for i := range a {
+					a[i] = string(rune('a' + i%26))
+					b[i] = a[i]
+				}
+				ShuffleSlice(g, a)
+				r.Shuffle(len(b), func(i, j int) { b[i], b[j] = b[j], b[i] })
+				got, want = append(got, a), append(want, b)
+			}
+			return got, want
+		}},
+		{"SampleK", func(g *RNG, r *rand.Rand) (any, any) {
+			var got, want [][]int
+			for _, nk := range [][2]int{{5, 0}, {1, 1}, {10, 3}, {10, 10}, {1000, 7}, {64, 33}} {
+				got = append(got, g.SampleK(nk[0], nk[1]))
+				want = append(want, refSampleK(r, nk[0], nk[1]))
+			}
+			return got, want
+		}},
+		{"TwoDistinct", func(g *RNG, r *rand.Rand) (any, any) {
+			var got, want [][2]int
+			for _, n := range []int{2, 3, 8, 720} {
+				a, b := g.TwoDistinct(n)
+				got, want = append(got, [2]int{a, b}), append(want, refTwoDistinct(r, n))
+			}
+			return got, want
+		}},
+		{"IntNExcept", func(g *RNG, r *rand.Rand) (any, any) {
+			var got, want []int
+			for _, n := range []int{2, 3, 8, 9, 720} {
+				for _, excl := range []int{0, n / 2, n - 1} {
+					got, want = append(got, g.IntNExcept(n, excl)), append(want, refIntNExcept(r, n, excl))
+				}
+			}
+			return got, want
+		}},
+	}
+	seeds := [][2]uint64{{0, 0}, {1, 0x9e3779b97f4a7c15}, {42, 7}, {^uint64(0), 1 << 63}, {0xdeadbeef, 0x0123456789abcdef}}
+	for _, s := range seeds {
+		reseeded := New(99)
+		reseeded.Uint64()
+		reseeded.Reseed(s[0], s[1])
+		parent := NewPair(s[0], s[1])
+		parent.Split()
+		child := parent.Split()
+		// A child's seed words are splitmix64 of the parent's words and its
+		// index, here 2.
+		golden := uint64(0x9e3779b97f4a7c15)
+		childHi, childLo := Mix64(s[0]^2), Mix64(s[1]+2*golden)
+		for _, c := range []struct {
+			name   string
+			g      *RNG
+			hi, lo uint64
+		}{
+			{"fresh", NewPair(s[0], s[1]), s[0], s[1]},
+			{"reseeded", reseeded, s[0], s[1]},
+			{"split", child, childHi, childLo},
+		} {
+			r := rand.New(rand.NewPCG(c.hi, c.lo))
+			for round := 0; round < 3; round++ {
+				for _, step := range script {
+					got, want := step.draw(c.g, r)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("seed %x, %s, round %d: %s = %v, math/rand/v2 %v", s, c.name, round, step.name, got, want)
+					}
+				}
+			}
+			if got, want := c.g.Uint64(), r.Uint64(); got != want {
+				t.Fatalf("seed %x, %s: next word %x, math/rand/v2 %x", s, c.name, got, want)
+			}
+		}
+	}
+}
+
+// TestDrawsDoNotAllocate pins that Reseed and every scalar draw, and a
+// shuffle of a caller's slice, are allocation-free.
+func TestDrawsDoNotAllocate(t *testing.T) {
+	g := New(1)
+	s := make([]int32, 300)
+	for _, c := range []struct {
+		name string
+		f    func()
+	}{
+		{"Reseed", func() { g.Reseed(3, 4) }},
+		{"Uint64", func() { g.Uint64() }},
+		{"Float64", func() { g.Float64() }},
+		{"Bool", func() { g.Bool() }},
+		{"IntN", func() { g.IntN(7) }},
+		{"Int64N", func() { g.Int64N(1<<62 + 1) }},
+		{"IntNExcept", func() { g.IntNExcept(9, 4) }},
+		{"TwoDistinct", func() { g.TwoDistinct(720) }},
+		{"ShuffleSlice", func() { ShuffleSlice(g, s) }},
+	} {
+		if n := testing.AllocsPerRun(100, c.f); n != 0 {
+			t.Errorf("%s: %v allocs per call, want 0", c.name, n)
+		}
+	}
+}
+
+var drawSink int
+
+// BenchmarkDraws times single draws with a bound whose reduction
+// multiplies (7) and one that masks (8), a Float64, and the shuffle of a
+// 300-element slice, the size of a late frontier in a randomized search
+// on RRG(720,24,19).
+//
+//	go test ./internal/xrand -run '^$' -bench Draws -benchmem
+func BenchmarkDraws(b *testing.B) {
+	g := New(1)
+	b.Run("IntN7", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			drawSink += g.IntN(7)
+		}
+	})
+	b.Run("IntN8", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			drawSink += g.IntN(8)
+		}
+	})
+	b.Run("Float64", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if g.Float64() < 0.5 {
+				drawSink++
+			}
+		}
+	})
+	b.Run("ShuffleSlice300", func(b *testing.B) {
+		s := make([]int32, 300)
+		for i := range s {
+			s[i] = int32(i)
+		}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			ShuffleSlice(g, s)
+		}
+		drawSink += int(s[0])
+	})
 }
