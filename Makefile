@@ -1,6 +1,7 @@
 # Pre-PR gate (documented in docs/ARCHITECTURE.md): formatting, vet,
 # optional linters, race-detector runs of the concurrency-heavy packages
-# and the fault-injection paths, full build. gofmt and go vet always run;
+# and the fault-injection paths, the whole unit suite uncached (every
+# golden included), full build. gofmt and go vet always run;
 # staticcheck/govulncheck are optional-when-installed (see lint).
 #
 # check times no benchmark (too noisy for a gate), but bench-smoke runs
@@ -22,7 +23,7 @@ check: fmt lint
 	$(MAKE) race-serve
 	$(MAKE) race-serve-v2
 	$(MAKE) race-chaos
-	$(MAKE) goldens
+	go test -count=1 ./...
 	$(MAKE) bench-smoke
 	$(MAKE) fuzz
 	$(MAKE) serve-smoke
@@ -92,7 +93,8 @@ race-chaos:
 # goldens, the selector path-set golden, the paths cache fixtures, the
 # graph and jellyfish fingerprints, the telemetry export, the binary
 # wire fixtures and the fault failure sets. Each pins behaviour bit for
-# bit, so a refactor that moves any of them fails here.
+# bit, so a refactor that moves any of them fails here. check runs them
+# within the whole unit suite; this target runs only them.
 goldens:
 	go test -count=1 -run Golden ./...
 

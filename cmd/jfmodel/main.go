@@ -45,6 +45,9 @@ func main() {
 	if *randomX < 1 {
 		fatal(fmt.Errorf("-random-x must be at least 1, got %d", *randomX))
 	}
+	if *method != "model" && *method != "validate" {
+		fatal(fmt.Errorf("unknown -method %q (want model or validate)", *method))
+	}
 	params, err := jellyfish.ByName(*topoName)
 	if err != nil {
 		fatal(err)

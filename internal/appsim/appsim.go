@@ -32,7 +32,7 @@ type PathProvider interface {
 	Paths(s, d graph.NodeID) []graph.Path
 }
 
-// Defaults from the paper's CODES configuration.
+// The paper's CODES configuration, the same for every replay.
 const (
 	DefaultPacketBytes   = 1500
 	DefaultLinkBandwidth = 20e9 // bytes per second
@@ -52,28 +52,12 @@ type Config struct {
 	// Flows is the terminal-level workload (apply the process-to-node
 	// mapping before passing it here).
 	Flows []traffic.SizedFlow
-	// PacketBytes is the packet size (default 1500).
-	PacketBytes int64
-	// LinkBandwidth is the per-link bandwidth in bytes/second (default
-	// 20 GB/s); it only converts cycles to seconds.
-	LinkBandwidth float64
-	// BufDepth is the per-VC buffer depth in packets (default 64).
-	BufDepth int
 	// NumVCs is the VC count (0 = routing.VCBudget for the mechanism).
 	NumVCs int
 	// Seed drives path randomization.
 	Seed uint64
-	// MaxCycles aborts a run that exceeds it (0 = 100x the zero-load lower
-	// bound, a generous allowance that still catches livelock bugs).
-	MaxCycles int64
 	// TrackFlows records per-flow completion cycles in the Result.
 	TrackFlows bool
-	// Iterations replays the communication phase this many times (default
-	// 1), modeling iterative stencil codes; ComputeGap idle cycles separate
-	// consecutive phases (a bulk-synchronous compute step).
-	Iterations int
-	// ComputeGap is the idle-cycle gap between iterations.
-	ComputeGap int64
 	// Telemetry, when non-nil, receives per-link counters, per-candidate
 	// path-choice counters and per-terminal injection-stall counters
 	// during the run (Run initializes the collector's link layout). A nil
@@ -95,26 +79,8 @@ func (cfg Config) Validate() error {
 	if cfg.Topo == nil || cfg.Paths == nil {
 		return fmt.Errorf("appsim: Topo and Paths are required")
 	}
-	if cfg.PacketBytes < 0 {
-		return fmt.Errorf("appsim: PacketBytes %d is negative", cfg.PacketBytes)
-	}
-	if cfg.LinkBandwidth < 0 {
-		return fmt.Errorf("appsim: LinkBandwidth %g is negative", cfg.LinkBandwidth)
-	}
-	if cfg.BufDepth < 0 {
-		return fmt.Errorf("appsim: BufDepth %d is negative", cfg.BufDepth)
-	}
 	if cfg.NumVCs < 0 {
 		return fmt.Errorf("appsim: NumVCs %d is negative", cfg.NumVCs)
-	}
-	if cfg.MaxCycles < 0 {
-		return fmt.Errorf("appsim: MaxCycles %d is negative", cfg.MaxCycles)
-	}
-	if cfg.Iterations < 0 {
-		return fmt.Errorf("appsim: Iterations %d is negative", cfg.Iterations)
-	}
-	if cfg.ComputeGap < 0 {
-		return fmt.Errorf("appsim: ComputeGap %d is negative", cfg.ComputeGap)
 	}
 	return nil
 }
@@ -167,19 +133,18 @@ type pkt struct {
 }
 
 // Run replays the workload and returns the completion time. An error is
-// returned for invalid configuration or when MaxCycles is exceeded.
+// returned for invalid configuration, or when the replay runs past 100
+// times its zero-load lower bound, a generous allowance that still
+// catches livelock bugs.
 func Run(cfg Config) (Result, error) {
+	return run(cfg, 0)
+}
+
+// run is Run with the livelock guard's cycle bound set by the caller
+// when maxCycles is positive.
+func run(cfg Config, maxCycles int64) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
-	}
-	if cfg.PacketBytes == 0 {
-		cfg.PacketBytes = DefaultPacketBytes
-	}
-	if cfg.LinkBandwidth == 0 {
-		cfg.LinkBandwidth = DefaultLinkBandwidth
-	}
-	if cfg.BufDepth == 0 {
-		cfg.BufDepth = DefaultBufDepth
 	}
 	mech := cfg.Mechanism
 	if mech == nil {
@@ -193,35 +158,26 @@ func Run(cfg Config) (Result, error) {
 		numVC = routing.VCBudget(graph.ComputeMetrics(g, 0).Diameter, mech.NonMinimal())
 	}
 
-	// Per-terminal flow lists and the total packet budget. Each iteration
-	// of the workload rebuilds them from the config.
-	var srcFlows [][]flowState
+	// Per-terminal flow lists and the total packet budget.
+	srcFlows := make([][]flowState, numTerm)
 	remaining := make([]int64, len(cfg.Flows)) // undelivered packets per flow
 	var totalPkts int64
-	setupPhase := func() error {
-		srcFlows = make([][]flowState, numTerm)
-		totalPkts = 0
-		for fi, f := range cfg.Flows {
-			if f.Src < 0 || f.Src >= numTerm || f.Dst < 0 || f.Dst >= numTerm {
-				return fmt.Errorf("appsim: flow %+v out of range", f)
-			}
-			if f.Src == f.Dst || f.Bytes <= 0 {
-				continue
-			}
-			n := (f.Bytes + cfg.PacketBytes - 1) / cfg.PacketBytes
-			srcFlows[f.Src] = append(srcFlows[f.Src], flowState{
-				dstTerm: int32(f.Dst),
-				dstSw:   cfg.Topo.SwitchOf(f.Dst),
-				left:    n,
-				flowIdx: int32(fi),
-			})
-			remaining[fi] = n
-			totalPkts += n
+	for fi, f := range cfg.Flows {
+		if f.Src < 0 || f.Src >= numTerm || f.Dst < 0 || f.Dst >= numTerm {
+			return Result{}, fmt.Errorf("appsim: flow %+v out of range", f)
 		}
-		return nil
-	}
-	if err := setupPhase(); err != nil {
-		return Result{}, err
+		if f.Src == f.Dst || f.Bytes <= 0 {
+			continue
+		}
+		n := (f.Bytes + DefaultPacketBytes - 1) / DefaultPacketBytes
+		srcFlows[f.Src] = append(srcFlows[f.Src], flowState{
+			dstTerm: int32(f.Dst),
+			dstSw:   cfg.Topo.SwitchOf(f.Dst),
+			left:    n,
+			flowIdx: int32(fi),
+		})
+		remaining[fi] = n
+		totalPkts += n
 	}
 	res := Result{}
 	if cfg.TrackFlows {
@@ -233,7 +189,7 @@ func Run(cfg Config) (Result, error) {
 	if totalPkts == 0 {
 		return res, nil
 	}
-	if cfg.MaxCycles == 0 {
+	if maxCycles <= 0 {
 		// Zero-load lower bound: the busiest terminal's serialization time.
 		var maxPer int64
 		for _, fl := range srcFlows {
@@ -245,11 +201,7 @@ func Run(cfg Config) (Result, error) {
 				maxPer = per
 			}
 		}
-		iters := int64(cfg.Iterations)
-		if iters < 1 {
-			iters = 1
-		}
-		cfg.MaxCycles = 100*iters*(maxPer+int64(numVC*20)+1000) + iters*cfg.ComputeGap
+		maxCycles = 100 * (maxPer + int64(numVC*20) + 1000)
 	}
 
 	tel := cfg.Telemetry
@@ -269,7 +221,7 @@ func Run(cfg Config) (Result, error) {
 		}
 		tel.Init(telemetry.Config{
 			Links:       links,
-			QueueCap:    int64(cfg.BufDepth) * int64(numVC),
+			QueueCap:    DefaultBufDepth * int64(numVC),
 			PathChoices: 32,
 		})
 	}
@@ -314,7 +266,7 @@ func Run(cfg Config) (Result, error) {
 	}
 
 	space := func(link, vc int32) bool {
-		return int(occVC[int(link)*numVC+int(vc)]) < cfg.BufDepth
+		return occVC[int(link)*numVC+int(vc)] < DefaultBufDepth
 	}
 	// enqueue and dequeue move a packet into and out of (link, vc), taking
 	// and releasing its buffer slot. Because router/NIC delays are zero,
@@ -352,8 +304,7 @@ func Run(cfg Config) (Result, error) {
 	}
 
 	var delivered int64
-	var phaseDropped int64 // dropped this phase; counts toward the drain target
-	var rerouteQ []int32   // packets awaiting space on their replacement path
+	var rerouteQ []int32 // packets awaiting space on their replacement path
 
 	// dropFlowPacket retires one packet of flow fi without delivering it:
 	// the flow's completion accounting advances so the run still drains.
@@ -362,7 +313,6 @@ func Run(cfg Config) (Result, error) {
 		if remaining[fi] == 0 && res.FlowCompletions != nil {
 			res.FlowCompletions[fi] = clock
 		}
-		phaseDropped++
 		res.Dropped++
 		if tel != nil {
 			tel.CountFaultDrop()
@@ -450,195 +400,180 @@ func Run(cfg Config) (Result, error) {
 		rerouteQ = kept
 	}
 
-	iterations := cfg.Iterations
-	if iterations < 1 {
-		iterations = 1
-	}
 	var activeTerms []int32
-	for iter := 0; iter < iterations; iter++ {
-		if iter > 0 {
-			if err := setupPhase(); err != nil {
-				return res, err
-			}
-			clock += cfg.ComputeGap
+	for t := 0; t < numTerm; t++ {
+		if len(srcFlows[t]) > 0 {
+			activeTerms = append(activeTerms, int32(t))
 		}
-		delivered = 0
-		phaseDropped = 0
-		activeTerms = activeTerms[:0]
-		for t := 0; t < numTerm; t++ {
-			if len(srcFlows[t]) > 0 {
-				activeTerms = append(activeTerms, int32(t))
-			}
+	}
+
+	for delivered+res.Dropped < totalPkts {
+		if clock >= maxCycles {
+			return res, fmt.Errorf("appsim: exceeded %d cycles with %d/%d packets delivered",
+				maxCycles, delivered, totalPkts)
 		}
 
-		for delivered+phaseDropped < totalPkts {
-			if clock >= cfg.MaxCycles {
-				return res, fmt.Errorf("appsim: exceeded %d cycles with %d/%d packets delivered",
-					cfg.MaxCycles, delivered, totalPkts)
+		// 0. Apply due fault events.
+		if fst != nil {
+			if evs := fst.Advance(clock); evs != nil {
+				flushDown(evs)
 			}
+		}
 
-			// 0. Apply due fault events.
-			if fst != nil {
-				if evs := fst.Advance(clock); evs != nil {
-					flushDown(evs)
-				}
-			}
-
-			// 1. Ejection links drain one packet per cycle.
-			for term := int32(0); int(term) < numTerm; term++ {
-				link := ejBase + term
-				if vc, id := vq.Pick(link); vc >= 0 {
-					if pkts[id].movedAt == clock {
-						continue // store-and-forward: arrived this cycle
-					}
-					dequeue(link, vc)
-					if tel != nil {
-						tel.CountForward(link)
-					}
-					if h := pkts[id].path.Hops(); h > res.MaxHops {
-						res.MaxHops = h
-					}
-					fi := pkts[id].flowIdx
-					remaining[fi]--
-					if remaining[fi] == 0 && res.FlowCompletions != nil {
-						res.FlowCompletions[fi] = clock
-					}
-					release(id)
-					delivered++
-				}
-			}
-
-			// 2. Network links forward.
-			for link := int32(0); link < int32(numNet); link++ {
-				if fst != nil && fst.LinkDown(link) {
-					continue
-				}
-				vc, id := vq.Pick(link)
-				if vc < 0 {
-					continue
-				}
-				p := &pkts[id]
-				if p.movedAt == clock {
-					continue
-				}
-				var nextLink, nextVC int32
-				if int(p.hop)+1 >= p.path.Hops() {
-					nextLink, nextVC = ejBase+p.dstTerm, 0
-				} else {
-					nextLink = g.LinkID(p.path[p.hop+1], p.path[p.hop+2])
-					nextVC = p.hop + 1
-				}
-				if fst != nil && fst.LinkDown(nextLink) {
-					// The packet's next hop died while it was queued here:
-					// pull it and reroute/drop from its current switch.
-					dequeue(link, vc)
-					handleFault(id, p.path[p.hop])
-					continue
-				}
-				if !space(nextLink, nextVC) {
-					if tel != nil {
-						tel.CountStall(link)
-					}
-					continue
+		// 1. Ejection links drain one packet per cycle.
+		for term := int32(0); int(term) < numTerm; term++ {
+			link := ejBase + term
+			if vc, id := vq.Pick(link); vc >= 0 {
+				if pkts[id].movedAt == clock {
+					continue // store-and-forward: arrived this cycle
 				}
 				dequeue(link, vc)
 				if tel != nil {
 					tel.CountForward(link)
 				}
-				p.hop++
-				enqueue(nextLink, nextVC, id)
-			}
-
-			// 2b. Re-inject packets rerouted around failures.
-			if len(rerouteQ) > 0 {
-				processReroutes()
-			}
-
-			// 3. Injection: each terminal sends one packet per cycle,
-			// round-robin over its live flows (MPI sends progress
-			// concurrently).
-			for _, term := range activeTerms {
-				flows := srcFlows[term]
-				if len(flows) == 0 {
-					continue
+				if h := pkts[id].path.Hops(); h > res.MaxHops {
+					res.MaxHops = h
 				}
-				srcSw := cfg.Topo.SwitchOf(int(term))
-				start := int(rrFlow[term]) % len(flows)
-				sent := false
-				for i := 0; i < len(flows); i++ {
-					fi := (start + i) % len(flows)
-					f := &flows[fi]
-					path, choiceIdx := choose(srcSw, f.dstSw)
-					if path == nil {
-						if fst == nil {
-							return res, fmt.Errorf("appsim: no path %d->%d", srcSw, f.dstSw)
-						}
-						// No surviving path for this flow: drop one packet
-						// per attempt so the run drains deterministically
-						// instead of spinning to MaxCycles.
-						dropFlowPacket(f.flowIdx)
-					} else {
-						if path.Hops() > numVC {
-							return res, fmt.Errorf("appsim: path with %d hops exceeds %d VCs", path.Hops(), numVC)
-						}
-						link := ejBase + f.dstTerm
-						if path.Hops() > 0 {
-							link = est.FirstLink(path)
-						}
-						if !space(link, 0) {
-							continue // head-of-line across flows: try the next flow
-						}
-						id := alloc()
-						pkts[id] = pkt{path: path, dstTerm: f.dstTerm, flowIdx: f.flowIdx, next: -1}
-						enqueue(link, 0, id)
-						if tel != nil {
-							tel.CountForward(int32(numNet + numTerm + int(term)))
-							if choiceIdx >= 0 {
-								tel.CountChoice(choiceIdx)
-							}
-						}
-					}
-					sent = true
-					f.left--
-					if f.left == 0 {
-						flows[fi] = flows[len(flows)-1]
-						srcFlows[term] = flows[:len(flows)-1]
-					}
-					rrFlow[term] = int32(fi + 1)
-					break
+				fi := pkts[id].flowIdx
+				remaining[fi]--
+				if remaining[fi] == 0 && res.FlowCompletions != nil {
+					res.FlowCompletions[fi] = clock
 				}
-				if tel != nil && !sent {
-					// Every live flow was blocked at its first link: the
-					// terminal stalled this cycle.
-					tel.CountStall(int32(numNet + numTerm + int(term)))
-				}
+				release(id)
+				delivered++
 			}
-			// Compact the active terminal list occasionally.
-			if clock%1024 == 0 {
-				live := activeTerms[:0]
-				for _, term := range activeTerms {
-					if len(srcFlows[term]) > 0 {
-						live = append(live, term)
-					}
-				}
-				activeTerms = live
-				if tel != nil {
-					tel.Snapshot(clock)
-				}
-			}
-			if tel != nil {
-				tel.SampleQueues(occ)
-			}
-			clock++
 		}
-		res.Packets += delivered
+
+		// 2. Network links forward.
+		for link := int32(0); link < int32(numNet); link++ {
+			if fst != nil && fst.LinkDown(link) {
+				continue
+			}
+			vc, id := vq.Pick(link)
+			if vc < 0 {
+				continue
+			}
+			p := &pkts[id]
+			if p.movedAt == clock {
+				continue
+			}
+			var nextLink, nextVC int32
+			if int(p.hop)+1 >= p.path.Hops() {
+				nextLink, nextVC = ejBase+p.dstTerm, 0
+			} else {
+				nextLink = g.LinkID(p.path[p.hop+1], p.path[p.hop+2])
+				nextVC = p.hop + 1
+			}
+			if fst != nil && fst.LinkDown(nextLink) {
+				// The packet's next hop died while it was queued here:
+				// pull it and reroute/drop from its current switch.
+				dequeue(link, vc)
+				handleFault(id, p.path[p.hop])
+				continue
+			}
+			if !space(nextLink, nextVC) {
+				if tel != nil {
+					tel.CountStall(link)
+				}
+				continue
+			}
+			dequeue(link, vc)
+			if tel != nil {
+				tel.CountForward(link)
+			}
+			p.hop++
+			enqueue(nextLink, nextVC, id)
+		}
+
+		// 2b. Re-inject packets rerouted around failures.
+		if len(rerouteQ) > 0 {
+			processReroutes()
+		}
+
+		// 3. Injection: each terminal sends one packet per cycle,
+		// round-robin over its live flows (MPI sends progress
+		// concurrently).
+		for _, term := range activeTerms {
+			flows := srcFlows[term]
+			if len(flows) == 0 {
+				continue
+			}
+			srcSw := cfg.Topo.SwitchOf(int(term))
+			start := int(rrFlow[term]) % len(flows)
+			sent := false
+			for i := 0; i < len(flows); i++ {
+				fi := (start + i) % len(flows)
+				f := &flows[fi]
+				path, choiceIdx := choose(srcSw, f.dstSw)
+				if path == nil {
+					if fst == nil {
+						return res, fmt.Errorf("appsim: no path %d->%d", srcSw, f.dstSw)
+					}
+					// No surviving path for this flow: drop one packet
+					// per attempt so the run drains deterministically
+					// instead of spinning into the livelock guard.
+					dropFlowPacket(f.flowIdx)
+				} else {
+					if path.Hops() > numVC {
+						return res, fmt.Errorf("appsim: path with %d hops exceeds %d VCs", path.Hops(), numVC)
+					}
+					link := ejBase + f.dstTerm
+					if path.Hops() > 0 {
+						link = est.FirstLink(path)
+					}
+					if !space(link, 0) {
+						continue // head-of-line across flows: try the next flow
+					}
+					id := alloc()
+					pkts[id] = pkt{path: path, dstTerm: f.dstTerm, flowIdx: f.flowIdx, next: -1}
+					enqueue(link, 0, id)
+					if tel != nil {
+						tel.CountForward(int32(numNet + numTerm + int(term)))
+						if choiceIdx >= 0 {
+							tel.CountChoice(choiceIdx)
+						}
+					}
+				}
+				sent = true
+				f.left--
+				if f.left == 0 {
+					flows[fi] = flows[len(flows)-1]
+					srcFlows[term] = flows[:len(flows)-1]
+				}
+				rrFlow[term] = int32(fi + 1)
+				break
+			}
+			if tel != nil && !sent {
+				// Every live flow was blocked at its first link: the
+				// terminal stalled this cycle.
+				tel.CountStall(int32(numNet + numTerm + int(term)))
+			}
+		}
+		// Compact the active terminal list occasionally.
+		if clock%1024 == 0 {
+			live := activeTerms[:0]
+			for _, term := range activeTerms {
+				if len(srcFlows[term]) > 0 {
+					live = append(live, term)
+				}
+			}
+			activeTerms = live
+			if tel != nil {
+				tel.Snapshot(clock)
+			}
+		}
+		if tel != nil {
+			tel.SampleQueues(occ)
+		}
+		clock++
 	}
+	res.Packets = delivered
 	if tel != nil {
 		tel.Snapshot(clock)
 	}
 
 	res.Cycles = clock
-	res.Seconds = float64(clock) * float64(cfg.PacketBytes) / cfg.LinkBandwidth
+	res.Seconds = float64(clock) * float64(DefaultPacketBytes) / DefaultLinkBandwidth
 	if fst != nil {
 		downs, ups, repairs := fst.Counters()
 		res.FaultEvents = downs + ups

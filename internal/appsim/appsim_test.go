@@ -29,11 +29,10 @@ func TestSingleFlowSerializationBound(t *testing.T) {
 	// in just over 100 cycles (serialization plus a few hops of pipeline).
 	topo := jelly(t, 8, 6, 4, 1)
 	cfg := Config{
-		Topo:        topo,
-		Paths:       pdb(topo, ksp.KSP, 2),
-		Mechanism:   routing.Random(),
-		Flows:       []traffic.SizedFlow{{Src: 0, Dst: topo.NumTerminals() - 1, Bytes: 100 * 1500}},
-		PacketBytes: 1500,
+		Topo:      topo,
+		Paths:     pdb(topo, ksp.KSP, 2),
+		Mechanism: routing.Random(),
+		Flows:     []traffic.SizedFlow{{Src: 0, Dst: topo.NumTerminals() - 1, Bytes: 100 * 1500}},
 	}
 	res, err := Run(cfg)
 	if err != nil {
@@ -189,10 +188,9 @@ func TestMaxCyclesGuard(t *testing.T) {
 		Paths:     pdb(topo, ksp.KSP, 2),
 		Mechanism: routing.Random(),
 		Flows:     []traffic.SizedFlow{{Src: 0, Dst: 4, Bytes: 1000 * 1500}},
-		MaxCycles: 10,
 	}
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("MaxCycles guard did not trip")
+	if _, err := run(cfg, 10); err == nil {
+		t.Fatal("livelock guard did not trip at 10 cycles")
 	}
 }
 
@@ -266,64 +264,31 @@ func TestOutOfRangeFlowRejected(t *testing.T) {
 	}
 }
 
-func TestIterations(t *testing.T) {
-	topo := jelly(t, 8, 6, 4, 1)
-	base := Config{
-		Topo:      topo,
-		Paths:     pdb(topo, ksp.KSP, 2),
-		Mechanism: routing.Random(),
-		Flows:     []traffic.SizedFlow{{Src: 0, Dst: 4, Bytes: 20 * 1500}},
-		Seed:      3,
-	}
-	one, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	multi := base
-	multi.Iterations = 3
-	multi.ComputeGap = 100
-	three, err := Run(multi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if three.Packets != 3*one.Packets {
-		t.Fatalf("packets = %d, want %d", three.Packets, 3*one.Packets)
-	}
-	// Three phases plus two compute gaps: at least 3x the single-phase
-	// cycles plus 200 idle cycles.
-	if three.Cycles < 3*one.Cycles+200 {
-		t.Fatalf("cycles = %d, single phase was %d", three.Cycles, one.Cycles)
-	}
-	// And not wildly more (phases are identical and independent).
-	if three.Cycles > 3*one.Cycles+200+one.Cycles {
-		t.Fatalf("cycles = %d, too slow for 3 phases of %d", three.Cycles, one.Cycles)
-	}
-}
-
 // TestReplayAllocsFlat pins that a replay's allocations do not grow with
 // the number of packets it moves: path choice, queueing and forwarding
 // allocate nothing per packet once the queues and the packet pool have
-// grown, so each extra iteration may allocate at most the flow table it
-// rebuilds (one list per terminal plus its flows).
+// grown, so eight times the bytes per flow may add at most one flow
+// table's worth of allocations (one list per terminal plus its flows).
 func TestReplayAllocsFlat(t *testing.T) {
 	topo := jelly(t, 18, 8, 6, 2)
 	db := paths.BuildAllPairs(topo.G, ksp.Config{Alg: ksp.REDKSP, K: 4}, 1, 0)
-	flows := traffic.Stencil(traffic.StencilConfig{
-		Kind: traffic.Stencil2DNNDiag, Ranks: topo.NumTerminals(), TotalBytes: 120 * 1500,
-	}).Apply(traffic.LinearMapping(topo.NumTerminals()))
-	allocs := func(iterations int) float64 {
-		cfg := Config{Topo: topo, Paths: db, Mechanism: routing.KSPAdaptive(), Flows: flows,
-			Seed: 3, Iterations: iterations}
+	stencil := func(bytes int64) []traffic.SizedFlow {
+		return traffic.Stencil(traffic.StencilConfig{
+			Kind: traffic.Stencil2DNNDiag, Ranks: topo.NumTerminals(), TotalBytes: bytes,
+		}).Apply(traffic.LinearMapping(topo.NumTerminals()))
+	}
+	allocs := func(flows []traffic.SizedFlow) float64 {
+		cfg := Config{Topo: topo, Paths: db, Mechanism: routing.KSPAdaptive(), Flows: flows, Seed: 3}
 		return testing.AllocsPerRun(3, func() {
 			if _, err := Run(cfg); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
-	one, eight := allocs(1), allocs(8)
-	perIter := (eight - one) / 7
-	if bound := float64(topo.NumTerminals() + len(flows)); perIter > bound {
-		t.Fatalf("each extra iteration allocates %.0f times (1 iteration: %.0f, 8: %.0f), want <= %.0f",
-			perIter, one, eight, bound)
+	flows := stencil(120 * 1500)
+	one, eight := allocs(flows), allocs(stencil(8*120*1500))
+	if bound := float64(topo.NumTerminals() + len(flows)); eight-one > bound {
+		t.Fatalf("8x the bytes allocates %.0f more times (1x: %.0f, 8x: %.0f), want <= %.0f",
+			eight-one, one, eight, bound)
 	}
 }

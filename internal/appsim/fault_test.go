@@ -193,7 +193,7 @@ func TestFaultRepairCompletes(t *testing.T) {
 
 // TestFaultUnroutableFlowDrains: with repair disabled and every path dead
 // from cycle 0, the flow cannot send at all — the run must still drain by
-// dropping, not spin to MaxCycles.
+// dropping, not spin into the livelock guard.
 func TestFaultUnroutableFlowDrains(t *testing.T) {
 	topo := jelly(t, 16, 8, 6, 7)
 	srcSw, dstSw := graph.NodeID(3), graph.NodeID(12)
@@ -314,13 +314,7 @@ func TestFaultConfigValidation(t *testing.T) {
 	mutate := map[string]func(*Config){
 		"no topo":        func(c *Config) { c.Topo = nil },
 		"no paths":       func(c *Config) { c.Paths = nil },
-		"neg bytes":      func(c *Config) { c.PacketBytes = -1 },
-		"neg bandwidth":  func(c *Config) { c.LinkBandwidth = -1 },
-		"neg buf":        func(c *Config) { c.BufDepth = -1 },
 		"neg vcs":        func(c *Config) { c.NumVCs = -2 },
-		"neg max cycles": func(c *Config) { c.MaxCycles = -1 },
-		"neg iterations": func(c *Config) { c.Iterations = -1 },
-		"neg gap":        func(c *Config) { c.ComputeGap = -1 },
 		"fault non-edge": func(c *Config) { c.Faults = faults.MustSchedule([]faults.Event{nonEdge}) },
 	}
 	for name, f := range mutate {

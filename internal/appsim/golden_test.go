@@ -76,12 +76,12 @@ func wholeSetDown(topo *jellyfish.Topology, db *paths.DB, flows []traffic.SizedF
 	return faults.MustSchedule(evs)
 }
 
-// TestResultGolden pins the exact Result of 21 stencil replays on a small
+// TestResultGolden pins the exact Result of 20 stencil replays on a small
 // RRG — every mechanism without faults, under a scripted whole-set
-// failure with reroute and repair, and under the drop policy — plus
-// three KSP-adaptive variants: two iterations, telemetry attached (which
-// must also equal the telemetry-off run) and 70 VCs, which needs more
-// than one 64-bit VC mask word. Any change to arbitration order, RNG
+// failure with reroute and repair, and under the drop policy — plus two
+// KSP-adaptive variants: telemetry attached (which must also equal the
+// telemetry-off run) and 70 VCs, which needs more than one 64-bit VC
+// mask word. Any change to arbitration order, RNG
 // consumption, store-and-forward timing or fault handling shows up as a
 // field-level diff. Regenerate with
 // `go test ./internal/appsim -run ResultGolden -update` only when a
@@ -105,10 +105,7 @@ func TestResultGolden(t *testing.T) {
 		c.FaultPolicy = faults.Policy{Drop: true}
 		cfgs[mech.Name()+"/faults=drop"] = c
 	}
-	c := base
-	c.Iterations, c.ComputeGap = 2, 50
-	cfgs["KSP-adaptive/iterations=2"] = c
-	c = cfgs["KSP-adaptive/faults=reroute"]
+	c := cfgs["KSP-adaptive/faults=reroute"]
 	c.Telemetry = telemetry.NewCollector()
 	cfgs["KSP-adaptive/faults=reroute/telemetry"] = c
 	c = base

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/flitsim"
-	"repro/internal/graph"
 	"repro/internal/jellyfish"
 	"repro/internal/ksp"
 	"repro/internal/model"
@@ -108,7 +107,7 @@ func AblationUGALBias(params jellyfish.Params, biases []int, rates []float64, sc
 	if err != nil {
 		return nil, err
 	}
-	numVC := routing.VCBudget(graph.ComputeMetrics(topo.G, sc.Workers).Diameter, true)
+	numVC := sc.numVCs(topo)
 	db, err := sc.pathDB(topo, ksp.REDKSP, 0)
 	if err != nil {
 		return nil, err

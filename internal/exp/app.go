@@ -27,9 +27,6 @@ type AppConfig struct {
 	Mechanism routing.Mechanism
 	// Stencils to run (default all four).
 	Stencils []traffic.StencilKind
-	// Selectors to compare (default rEDKSP, KSP, rKSP — the paper's
-	// column order).
-	Selectors []ksp.Algorithm
 	// FaultSpec optionally injects the same link-failure schedule into
 	// every replay (see faults.ParseSpec); random specs are drawn once per
 	// topology instance, so all selectors face identical failures.
@@ -37,6 +34,10 @@ type AppConfig struct {
 	// FaultPolicy names the fault policy ("" = reroute with repair).
 	FaultPolicy string
 }
+
+// appSelectors are the path selectors Tables V and VI compare, in the
+// paper's column order.
+var appSelectors = []ksp.Algorithm{ksp.REDKSP, ksp.KSP, ksp.RKSP}
 
 // AppResult holds the communication times: Seconds[stencil][selector].
 type AppResult struct {
@@ -62,9 +63,6 @@ func AppCommTimes(cfg AppConfig, sc Scale) (*AppResult, error) {
 	if len(cfg.Stencils) == 0 {
 		cfg.Stencils = traffic.StencilKinds
 	}
-	if len(cfg.Selectors) == 0 {
-		cfg.Selectors = []ksp.Algorithm{ksp.REDKSP, ksp.KSP, ksp.RKSP}
-	}
 	if cfg.Mapping != "linear" && cfg.Mapping != "random" {
 		return nil, fmt.Errorf("exp: unknown mapping %q (want linear or random)", cfg.Mapping)
 	}
@@ -76,15 +74,15 @@ func AppCommTimes(cfg AppConfig, sc Scale) (*AppResult, error) {
 	for _, k := range cfg.Stencils {
 		res.Stencils = append(res.Stencils, k.String())
 	}
-	for _, a := range cfg.Selectors {
+	for _, a := range appSelectors {
 		res.Selectors = append(res.Selectors, fmt.Sprintf("%s(%d)", a, sc.K))
 	}
 
 	sums := make([][]float64, len(cfg.Stencils))
 	counts := make([][]int, len(cfg.Stencils))
 	for i := range sums {
-		sums[i] = make([]float64, len(cfg.Selectors))
-		counts[i] = make([]int, len(cfg.Selectors))
+		sums[i] = make([]float64, len(appSelectors))
+		counts[i] = make([]int, len(appSelectors))
 	}
 
 	mapSamples := sc.PatternSamples
@@ -101,8 +99,8 @@ func AppCommTimes(cfg AppConfig, sc Scale) (*AppResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		dbs := make([]*paths.DB, len(cfg.Selectors))
-		for ai, alg := range cfg.Selectors {
+		dbs := make([]*paths.DB, len(appSelectors))
+		for ai, alg := range appSelectors {
 			if dbs[ai], err = sc.pathDB(topo, alg, ti); err != nil {
 				return nil, err
 			}
@@ -119,7 +117,7 @@ func AppCommTimes(cfg AppConfig, sc Scale) (*AppResult, error) {
 					mapping = traffic.RandomMapping(nTerms, sc.patternSeed(ti, mi))
 				}
 				flows := w.Apply(mapping)
-				for ai := range cfg.Selectors {
+				for ai := range appSelectors {
 					r, err := appsim.Run(appsim.Config{
 						Topo:        topo,
 						Paths:       dbs[ai],
@@ -130,7 +128,7 @@ func AppCommTimes(cfg AppConfig, sc Scale) (*AppResult, error) {
 						FaultPolicy: policy,
 					})
 					if err != nil {
-						return nil, fmt.Errorf("exp: %s/%s: %w", kind, cfg.Selectors[ai], err)
+						return nil, fmt.Errorf("exp: %s/%s: %w", kind, appSelectors[ai], err)
 					}
 					sums[si][ai] += r.Seconds
 					counts[si][ai]++
@@ -140,7 +138,7 @@ func AppCommTimes(cfg AppConfig, sc Scale) (*AppResult, error) {
 	}
 	res.Seconds = make([][]float64, len(cfg.Stencils))
 	for si := range sums {
-		res.Seconds[si] = make([]float64, len(cfg.Selectors))
+		res.Seconds[si] = make([]float64, len(appSelectors))
 		for ai := range sums[si] {
 			if counts[si][ai] > 0 {
 				res.Seconds[si][ai] = sums[si][ai] / float64(counts[si][ai])

@@ -14,9 +14,11 @@ package exp
 import (
 	"fmt"
 
+	"repro/internal/graph"
 	"repro/internal/jellyfish"
 	"repro/internal/ksp"
 	"repro/internal/paths"
+	"repro/internal/routing"
 	"repro/internal/seeds"
 	"repro/internal/xrand"
 )
@@ -95,6 +97,13 @@ func (sc Scale) pathSeed(i int, alg ksp.Algorithm) uint64 {
 // buildTopo constructs the i-th topology sample.
 func (sc Scale) buildTopo(p jellyfish.Params, i int) (*jellyfish.Topology, error) {
 	return jellyfish.New(p, sc.topoSeed(i))
+}
+
+// numVCs is the VC count of every flit simulation on topo: enough for the
+// longest path a non-minimal mechanism can take, so one count serves all
+// mechanisms.
+func (sc Scale) numVCs(topo *jellyfish.Topology) int {
+	return routing.VCBudget(graph.ComputeMetrics(topo.G, sc.Workers).Diameter, true)
 }
 
 // pathDB returns the path DB for one selector on the i-th topology

@@ -81,12 +81,19 @@ func TestNegativeSampleCountsRejected(t *testing.T) {
 	}
 }
 
-// TestOutOfRangeArgumentsRejected checks that k values and failure counts
-// a study cannot run are refused with a range error before any work:
-// k = 0 in a k sweep (which the Scale default would silently turn into
-// 8), negative k and negative failure counts (which would panic deeper
-// down).
+// TestOutOfRangeArgumentsRejected checks that k values, failure counts
+// and Random(X) destination counts a study cannot run are refused with a
+// range error before any work: k = 0 in a k sweep (which the Scale
+// default would silently turn into 8), and negative k, negative failure
+// counts and an X outside [1, terminals), the default 50 on tiny's 36
+// terminals included, all of which would panic deeper down.
 func TestOutOfRangeArgumentsRejected(t *testing.T) {
+	randomX := func(p jellyfish.Params, x int) func() error {
+		return func() error {
+			_, err := ModelThroughput(ModelConfig{Params: p, Patterns: []string{"random(X)"}, RandomX: x}, tinyScale())
+			return err
+		}
+	}
 	for _, tc := range []struct {
 		name string
 		run  func() error
@@ -96,6 +103,14 @@ func TestOutOfRangeArgumentsRejected(t *testing.T) {
 		{"FaultResilience/failures=-1", func() error { _, err := FaultResilience(tiny, []int{-1}, tinyScale()); return err }},
 		{"Scale.K=-1", func() error {
 			_, err := ModelThroughput(ModelConfig{Params: tiny, Patterns: []string{"shift"}}, Scale{K: -1})
+			return err
+		}},
+		{"ModelThroughput/random-x=terminals", randomX(tiny, 36)},
+		{"ModelThroughput/random-x=-1", randomX(tiny, -1)},
+		{"ModelThroughput/random-x=default", randomX(tiny, 0)},
+		{"ModelThroughput/small/random-x=288", randomX(jellyfish.Small, 288)},
+		{"ModelThroughput/all-patterns/random-x=default", func() error {
+			_, err := ModelThroughput(ModelConfig{Params: tiny}, tinyScale())
 			return err
 		}},
 	} {

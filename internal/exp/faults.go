@@ -166,8 +166,9 @@ func (r *FaultResilienceResult) Table(title string) *stats.Table {
 }
 
 // FaultRunConfig parameterizes the dynamic fault-injection experiment: a
-// flit-level run in which a random set of links fails mid-measurement and
-// the routing mechanisms degrade (or not) live.
+// flit-level run in which a random set of links fails at cycle 1000, after
+// the warmup and the first measurement window, and the routing mechanisms
+// degrade (or not) live.
 type FaultRunConfig struct {
 	Params jellyfish.Params
 	// Pattern is "permutation", "shift" or "uniform" (default "uniform").
@@ -175,16 +176,11 @@ type FaultRunConfig struct {
 	// FailedLinks is the sweep of failure counts (default {0, 1, 2, 4, 8});
 	// 0 is the fault-free baseline.
 	FailedLinks []int
-	// FaultAt is the cycle the failures strike (default 1000: after the
-	// simulator's default warmup plus one measurement window).
-	FaultAt int64
 	// InjectionRate is the offered load (default 0.3).
 	InjectionRate float64
 	// Policy is the fault policy applied to caught packets (zero value:
 	// reroute with path repair).
 	Policy faults.Policy
-	// NumVCs overrides the VC count (0 = derive from the topology).
-	NumVCs int
 }
 
 func (c FaultRunConfig) withDefaults() FaultRunConfig {
@@ -193,9 +189,6 @@ func (c FaultRunConfig) withDefaults() FaultRunConfig {
 	}
 	if len(c.FailedLinks) == 0 {
 		c.FailedLinks = []int{0, 1, 2, 4, 8}
-	}
-	if c.FaultAt == 0 {
-		c.FaultAt = 1000
 	}
 	if c.InjectionRate == 0 {
 		c.InjectionRate = 0.3
@@ -251,11 +244,7 @@ func FaultRun(cfg FaultRunConfig, sc Scale) (*FaultRunResult, error) {
 			return nil, err
 		}
 		topos[ti] = topo
-		if cfg.NumVCs > 0 {
-			numVCs[ti] = cfg.NumVCs
-		} else {
-			numVCs[ti] = routing.VCBudget(graph.ComputeMetrics(topo.G, sc.Workers).Diameter, true)
-		}
+		numVCs[ti] = sc.numVCs(topo)
 		dbs[ti] = make([]*paths.DB, len(ksp.Algorithms))
 		for ai, alg := range ksp.Algorithms {
 			if dbs[ti][ai], err = sc.pathDB(topo, alg, ti); err != nil {
@@ -269,7 +258,7 @@ func FaultRun(cfg FaultRunConfig, sc Scale) (*FaultRunResult, error) {
 				if f > topo.G.NumEdges() {
 					return nil, fmt.Errorf("exp: cannot fail %d of %d links", f, topo.G.NumEdges())
 				}
-				sched, err := faults.Random(topo.G, f, cfg.FaultAt,
+				sched, err := faults.Random(topo.G, f, flitsim.WarmupCycles+flitsim.SampleCycles,
 					xrand.Mix64(sc.Seed^uint64(ti)<<40^uint64(pi)<<20^uint64(fi)))
 				if err != nil {
 					return nil, err

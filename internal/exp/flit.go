@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"repro/internal/flitsim"
-	"repro/internal/graph"
 	"repro/internal/jellyfish"
 	"repro/internal/ksp"
 	"repro/internal/par"
@@ -24,8 +23,6 @@ type FlitConfig struct {
 	Pattern string
 	// Rates is the offered-load sweep (default 0.05..1.00 step 0.05).
 	Rates []float64
-	// NumVCs overrides the VC count (0 = derive once from the topology).
-	NumVCs int
 }
 
 func (c FlitConfig) withDefaults() FlitConfig {
@@ -97,11 +94,7 @@ func FlitSaturation(cfg FlitConfig, sc Scale) (*SaturationResult, error) {
 			return nil, err
 		}
 		topos[ti] = topo
-		if cfg.NumVCs > 0 {
-			numVCs[ti] = cfg.NumVCs
-		} else {
-			numVCs[ti] = routing.VCBudget(graph.ComputeMetrics(topo.G, sc.Workers).Diameter, true)
-		}
+		numVCs[ti] = sc.numVCs(topo)
 		dbs[ti] = make([]*paths.DB, len(ksp.Algorithms))
 		for ai, alg := range ksp.Algorithms {
 			if dbs[ti][ai], err = sc.pathDB(topo, alg, ti); err != nil {
@@ -218,10 +211,7 @@ func FlitLatencyCurve(cfg FlitConfig, mech routing.Mechanism, sc Scale) (*CurveR
 	if err != nil {
 		return nil, err
 	}
-	numVC := cfg.NumVCs
-	if numVC == 0 {
-		numVC = routing.VCBudget(graph.ComputeMetrics(topo.G, sc.Workers).Diameter, true)
-	}
+	numVC := sc.numVCs(topo)
 	sampler, err := samplerFor(cfg.Pattern, topo.NumTerminals(), sc.patternSeed(0, 0))
 	if err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/jellyfish"
 	"repro/internal/ksp"
@@ -48,6 +49,11 @@ func ModelThroughput(cfg ModelConfig, sc Scale) (*ModelFigureResult, error) {
 	}
 	if len(cfg.Patterns) == 0 {
 		cfg.Patterns = ModelPatterns
+	}
+	// Random(X) sends every terminal's traffic to X distinct others.
+	if terms := cfg.Params.N * (cfg.Params.X - cfg.Params.Y); slices.Contains(cfg.Patterns, "random(X)") &&
+		(cfg.RandomX < 1 || cfg.RandomX >= terms) {
+		return nil, fmt.Errorf("exp: random(X) X %d out of range (want 1 <= X < %d, the terminal count)", cfg.RandomX, terms)
 	}
 	res := &ModelFigureResult{
 		Config:    cfg,

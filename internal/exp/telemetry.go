@@ -6,7 +6,6 @@ import (
 	"repro/internal/appsim"
 	"repro/internal/faults"
 	"repro/internal/flitsim"
-	"repro/internal/graph"
 	"repro/internal/jellyfish"
 	"repro/internal/ksp"
 	"repro/internal/routing"
@@ -73,7 +72,7 @@ func FlitTelemetryRun(cfg FlitTelemetryConfig, sc Scale) (flitsim.Result, *telem
 	if err != nil {
 		return zero, nil, telemetry.Manifest{}, err
 	}
-	numVC := routing.VCBudget(graph.ComputeMetrics(topo.G, sc.Workers).Diameter, true)
+	numVC := sc.numVCs(topo)
 	db, err := sc.pathDB(topo, cfg.Selector, 0)
 	if err != nil {
 		return zero, nil, telemetry.Manifest{}, err

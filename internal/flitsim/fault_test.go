@@ -37,9 +37,8 @@ func TestFaultEmptyScheduleBitIdentical(t *testing.T) {
 			Traffic:       traffic.Uniform{N: topo.NumTerminals()},
 			InjectionRate: 0.3,
 			Seed:          99,
-			NumSamples:    3,
 		}
-		ref := New(base).Run()
+		ref, _ := runWith(base, WarmupCycles, 3)
 
 		withNil := base
 		withNil.Faults = nil
@@ -53,7 +52,7 @@ func TestFaultEmptyScheduleBitIdentical(t *testing.T) {
 		withEmpty.Paths = db(topo, ksp.REDKSP, 4)
 
 		for name, cfg := range map[string]Config{"nil": withNil, "empty": withEmpty} {
-			got := New(cfg).Run()
+			got, _ := runWith(cfg, WarmupCycles, 3)
 			if !reflect.DeepEqual(got, ref) {
 				t.Fatalf("%s: %s schedule changed the Result:\n got %+v\nwant %+v",
 					mech.Name(), name, got, ref)
@@ -78,7 +77,6 @@ func TestFaultRecoveryVsSPCollapse(t *testing.T) {
 		Traffic:       singleFlow{src: srcTerm, dst: dstTerm},
 		InjectionRate: 1.0,
 		Seed:          11,
-		NumSamples:    6,
 	}
 	// Fault fires mid-sample-2: warmup 500 + 2.5 windows of 500.
 	const faultAt = 500 + 1250
@@ -99,11 +97,7 @@ func TestFaultRecoveryVsSPCollapse(t *testing.T) {
 	multi.Mechanism = routing.KSPAdaptive()
 	multi.Faults = sched
 
-	sim, err := NewSim(multi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mres := sim.Run()
+	mres, sim := runWith(multi, WarmupCycles, 6)
 	pre, post := mres.SampleDelivered[1], mres.SampleDelivered[5]
 	if pre == 0 {
 		t.Fatalf("no pre-fault traffic: %+v", mres)
@@ -136,7 +130,7 @@ func TestFaultRecoveryVsSPCollapse(t *testing.T) {
 	single.Faults = ssched
 	single.FaultPolicy = faults.Policy{Drop: true, NoRepair: true}
 
-	sres := New(single).Run()
+	sres, _ := runWith(single, WarmupCycles, 6)
 	spre, spost := sres.SampleDelivered[1], sres.SampleDelivered[5]
 	if spre == 0 {
 		t.Fatalf("no pre-fault SP traffic: %+v", sres)
@@ -180,10 +174,9 @@ func TestFaultRepairRecovers(t *testing.T) {
 		Traffic:       singleFlow{src: termOn(topo, srcSw), dst: termOn(topo, dstSw)},
 		InjectionRate: 1.0,
 		Seed:          13,
-		NumSamples:    6,
 		Faults:        faults.MustSchedule(evs),
 	}
-	res := New(cfg).Run()
+	res, _ := runWith(cfg, WarmupCycles, 6)
 	if res.PathRepairs == 0 {
 		t.Fatalf("whole-set kill triggered no repair: %+v", res)
 	}
@@ -214,11 +207,10 @@ func TestFaultLinkUpRestores(t *testing.T) {
 		Traffic:       singleFlow{src: termOn(topo, srcSw), dst: termOn(topo, dstSw)},
 		InjectionRate: 1.0,
 		Seed:          17,
-		NumSamples:    6,
 		Faults:        faults.MustSchedule(evs),
 		FaultPolicy:   faults.Policy{Drop: true, NoRepair: true},
 	}
-	res := New(cfg).Run()
+	res, _ := runWith(cfg, WarmupCycles, 6)
 	// Sample 2 (cycles 1500-2000) brackets the failure, sample 3 the
 	// restoration; the final windows must flow like the pre-fault ones.
 	pre, post := res.SampleDelivered[1], res.SampleDelivered[5]
@@ -277,10 +269,9 @@ func TestFaultMechanismsAvoidDeadPaths(t *testing.T) {
 				Traffic:       traffic.Uniform{N: topo.NumTerminals()},
 				InjectionRate: 0.3,
 				Seed:          23,
-				NumSamples:    4,
 				Faults:        sched,
 			}
-			res := New(cfg).Run()
+			res, _ := runWith(cfg, WarmupCycles, 4)
 			if res.FaultEvents == 0 {
 				t.Fatal("schedule did not fire")
 			}
@@ -320,13 +311,7 @@ func TestFaultConfigValidation(t *testing.T) {
 		"no traffic":     func(c *Config) { c.Traffic = nil },
 		"rate < 0":       func(c *Config) { c.InjectionRate = -0.1 },
 		"rate > 1":       func(c *Config) { c.InjectionRate = 1.5 },
-		"neg buf":        func(c *Config) { c.BufDepth = -1 },
 		"neg vcs":        func(c *Config) { c.NumVCs = -2 },
-		"neg chan lat":   func(c *Config) { c.ChannelLatency = -1 },
-		"neg term lat":   func(c *Config) { c.TerminalLatency = -1 },
-		"neg samples":    func(c *Config) { c.NumSamples = -1 },
-		"neg cycles":     func(c *Config) { c.SampleCycles = -1 },
-		"neg sat":        func(c *Config) { c.SatLatency = -1 },
 		"fault non-edge": func(c *Config) { c.Faults = faults.MustSchedule([]faults.Event{nonEdge}) },
 	}
 	for name, f := range mutate {

@@ -9,13 +9,12 @@
 //   - deadlock freedom by VC-per-hop: a packet at hop h occupies VC h, and
 //     the VC count covers the longest admissible path, so the channel
 //     dependency graph is acyclic;
-//   - configurable channel latency (the paper uses 10 cycles) and VC buffer
-//     depth (32);
+//   - the paper's 10-cycle channels and 32-flit VC buffers;
 //   - Bernoulli packet injection per terminal at a configurable offered
 //     load, with destinations drawn from a traffic.Sampler;
-//   - the paper's measurement protocol: warmup, then a window divided into
-//     samples; the network counts as saturated when a sample's average
-//     packet latency exceeds a threshold (500 cycles).
+//   - the paper's measurement protocol: a 500-cycle warmup, then 10
+//     samples of 500 cycles; the network counts as saturated when a
+//     sample's average packet latency exceeds 500 cycles.
 //
 // The paper configures Booksim with a 2.0 router speedup "because our main
 // focus is on evaluating routing performance, rather than flow control and
@@ -38,6 +37,23 @@ import (
 	"repro/internal/traffic"
 	"repro/internal/vcq"
 	"repro/internal/xrand"
+)
+
+// The paper's Booksim configuration, the same for every run.
+const (
+	channelLatency  = 10             // switch-to-switch channel delay, cycles
+	terminalLatency = 1              // injection and ejection channel delay, cycles
+	bufDepth        = 32             // per-VC buffer depth, flits
+	satLatency      = 500            // per-sample average latency that marks saturation, cycles
+	latencyCap      = 4 * satLatency // top bucket of the latency histogram, cycles
+)
+
+// The paper's measurement protocol: Run warms up for WarmupCycles, then
+// measures NumSamples windows of SampleCycles each.
+const (
+	WarmupCycles = 500
+	SampleCycles = 500
+	NumSamples   = 10
 )
 
 // PathProvider supplies the k candidate paths per ordered switch pair
@@ -63,26 +79,10 @@ type Config struct {
 	// Seed drives all randomness in the run.
 	Seed uint64
 
-	// ChannelLatency is the switch-to-switch channel delay in cycles
-	// (default 10, as in the paper).
-	ChannelLatency int
-	// TerminalLatency is the injection/ejection channel delay (default 1).
-	TerminalLatency int
-	// BufDepth is the per-VC buffer depth in flits (default 32).
-	BufDepth int
 	// NumVCs is the virtual channel count; 0 derives it from the longest
 	// path the configured mechanism can use (routing.VCBudget).
 	NumVCs int
 
-	// WarmupCycles (default 500; pass a negative value for no warmup),
-	// SampleCycles (default 500) and NumSamples (default 10) define the
-	// measurement protocol.
-	WarmupCycles int
-	SampleCycles int
-	NumSamples   int
-	// SatLatency is the per-sample average latency above which the network
-	// counts as saturated (default 500 cycles).
-	SatLatency float64
 	// Telemetry, when non-nil, receives per-link counters, queue-depth
 	// samples, a latency histogram and per-sample window snapshots during
 	// the run (the Sim initializes the collector's link layout). A nil
@@ -106,34 +106,6 @@ type Config struct {
 	SaturationLatencyOnly bool
 }
 
-func (c Config) withDefaults() Config {
-	if c.ChannelLatency == 0 {
-		c.ChannelLatency = 10
-	}
-	if c.TerminalLatency == 0 {
-		c.TerminalLatency = 1
-	}
-	if c.BufDepth == 0 {
-		c.BufDepth = 32
-	}
-	if c.WarmupCycles == 0 {
-		c.WarmupCycles = 500
-	}
-	if c.WarmupCycles < 0 {
-		c.WarmupCycles = 0
-	}
-	if c.SampleCycles == 0 {
-		c.SampleCycles = 500
-	}
-	if c.NumSamples == 0 {
-		c.NumSamples = 10
-	}
-	if c.SatLatency == 0 {
-		c.SatLatency = 500
-	}
-	return c
-}
-
 // Result reports one run.
 type Result struct {
 	// AvgLatency is the mean packet latency (injection to ejection, in
@@ -141,15 +113,15 @@ type Result struct {
 	AvgLatency float64
 	// SampleLatencies holds the per-sample average latencies.
 	SampleLatencies []float64
-	// Saturated reports whether any sample exceeded SatLatency (or a
-	// sample delivered nothing while traffic was offered).
+	// Saturated reports whether any sample's average latency exceeded 500
+	// cycles (or a sample delivered nothing while traffic was offered).
 	Saturated bool
 	// DeliveredRate is packets delivered per terminal per cycle during
 	// measurement — the accepted throughput.
 	DeliveredRate float64
 	// P50, P95 and P99 are latency percentiles over packets delivered
 	// during measurement (0 when nothing was delivered). Latencies above
-	// the histogram cap (4x SatLatency) land in the top bucket, so deep
+	// the histogram cap (2000 cycles) land in the top bucket, so deep
 	// saturation reads as "at least the cap".
 	P50, P95, P99 float64
 	// Injected and Delivered count packets over the whole run (including
@@ -195,6 +167,10 @@ type Sim struct {
 	view  routing.View
 	est   *routing.OccupancyEstimator // prices candidates by occ
 	numVC int
+
+	// warmup and samples are the measurement protocol Run follows:
+	// WarmupCycles and NumSamples, shortened only by tests.
+	warmup, samples int
 
 	// Link indexing: [0, L) network links (graph link ids), then
 	// [L, L+T) injection links, then [L+T, L+2T) ejection links.
@@ -280,9 +256,8 @@ func (w *wheel) take(now int64) []arrival {
 	return out
 }
 
-// Validate reports the first configuration error, applying no defaults:
-// zero-valued knobs are fine (they default), explicitly negative or
-// out-of-range ones are not.
+// Validate reports the first configuration error. A zero NumVCs is fine
+// (NewSim derives it); a negative one is not.
 func (c Config) Validate() error {
 	switch {
 	case c.Topo == nil:
@@ -295,20 +270,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("flitsim: Mechanism is required")
 	case !(c.InjectionRate >= 0 && c.InjectionRate <= 1): // NaN fails too
 		return fmt.Errorf("flitsim: injection rate %v out of [0,1]", c.InjectionRate)
-	case c.ChannelLatency < 0:
-		return fmt.Errorf("flitsim: negative channel latency %d", c.ChannelLatency)
-	case c.TerminalLatency < 0:
-		return fmt.Errorf("flitsim: negative terminal latency %d", c.TerminalLatency)
-	case c.BufDepth < 0:
-		return fmt.Errorf("flitsim: negative buffer depth %d", c.BufDepth)
 	case c.NumVCs < 0:
 		return fmt.Errorf("flitsim: negative VC count %d", c.NumVCs)
-	case c.SampleCycles < 0:
-		return fmt.Errorf("flitsim: negative sample length %d", c.SampleCycles)
-	case c.NumSamples < 0:
-		return fmt.Errorf("flitsim: negative sample count %d", c.NumSamples)
-	case c.SatLatency < 0:
-		return fmt.Errorf("flitsim: negative saturation latency %v", c.SatLatency)
 	}
 	return nil
 }
@@ -330,7 +293,6 @@ func NewSim(cfg Config) (*Sim, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
 	s := &Sim{
 		cfg:     cfg,
 		topo:    cfg.Topo,
@@ -338,6 +300,8 @@ func NewSim(cfg Config) (*Sim, error) {
 		rng:     xrand.New(cfg.Seed),
 		numNet:  cfg.Topo.G.NumDirectedLinks(),
 		numTerm: cfg.Topo.NumTerminals(),
+		warmup:  WarmupCycles,
+		samples: NumSamples,
 	}
 	s.numVC = cfg.NumVCs
 	if s.numVC == 0 {
@@ -351,13 +315,9 @@ func NewSim(cfg Config) (*Sim, error) {
 	s.qlen = make([]int32, nLinks)
 	s.active = make([]uint64, (nLinks+63)/64)
 	s.srcActive = make([]uint64, (s.numTerm+63)/64)
-	maxLat := cfg.ChannelLatency
-	if cfg.TerminalLatency > maxLat {
-		maxLat = cfg.TerminalLatency
-	}
-	s.inflight = newWheel(maxLat + 1)
+	s.inflight = newWheel(max(channelLatency, terminalLatency) + 1)
 	s.free = -1
-	s.latHist = make([]int64, int(cfg.SatLatency)*4+1)
+	s.latHist = make([]int64, latencyCap+1)
 	s.srcQueue = make([]vcq.FIFO, s.numTerm)
 	s.mech = cfg.Mechanism.NewState()
 	if cfg.Telemetry != nil {
@@ -374,8 +334,8 @@ func NewSim(cfg Config) (*Sim, error) {
 		}
 		s.tel.Init(telemetry.Config{
 			Links:       links,
-			LatencyCap:  int64(cfg.SatLatency) * 4,
-			QueueCap:    int64(cfg.BufDepth) * int64(s.numVC),
+			LatencyCap:  latencyCap,
+			QueueCap:    bufDepth * int64(s.numVC),
 			PathChoices: 32,
 		})
 	}
@@ -540,7 +500,7 @@ func (s *Sim) drainEjections(measuring bool, sampleLatSum, sampleCount *int64) {
 			}
 			id := s.qpop(link, vc)
 			// Latency includes the ejection channel traversal.
-			lat := s.clock - s.pkts[id].birth + int64(s.cfg.TerminalLatency)
+			lat := s.clock - s.pkts[id].birth + terminalLatency
 			h := s.pkts[id].path.Hops()
 			if h > s.maxHops {
 				s.maxHops = h
@@ -611,7 +571,7 @@ func (s *Sim) forwardNetwork() {
 				s.occVC[int(nextLink)*s.numVC+int(nextVC)]++
 				p.hop++
 				// The packet now traverses this network channel.
-				s.inflight.schedule(s.clock+int64(s.cfg.ChannelLatency),
+				s.inflight.schedule(s.clock+channelLatency,
 					arrival{pkt: id, link: nextLink, vc: nextVC})
 			}
 		}
@@ -672,7 +632,7 @@ func (s *Sim) injectSources() {
 			}
 			s.occ[nextLink]++
 			s.occVC[int(nextLink)*s.numVC+int(nextVC)]++
-			s.inflight.schedule(s.clock+int64(s.cfg.TerminalLatency),
+			s.inflight.schedule(s.clock+terminalLatency,
 				arrival{pkt: id, link: nextLink, vc: nextVC})
 		}
 	}
@@ -726,5 +686,5 @@ func (s *Sim) nextHopOf(p *packet) (int32, int32) {
 // spaceIn reports whether (link, vc) can accept one more committed packet:
 // its queued plus reserved in-flight count is below the buffer depth.
 func (s *Sim) spaceIn(link, vc int32) bool {
-	return int(s.occVC[int(link)*s.numVC+int(vc)]) < s.cfg.BufDepth
+	return s.occVC[int(link)*s.numVC+int(vc)] < bufDepth
 }

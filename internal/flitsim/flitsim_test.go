@@ -65,6 +65,14 @@ func smallCfg(t testing.TB, load float64, seed uint64) Config {
 	}
 }
 
+// runWith runs cfg under a shortened measurement protocol: warmup cycles
+// of warmup, then samples windows of SampleCycles each.
+func runWith(cfg Config, warmup, samples int) (Result, *Sim) {
+	s := New(cfg)
+	s.warmup, s.samples = warmup, samples
+	return s.Run(), s
+}
+
 func TestSinglePacketLatency(t *testing.T) {
 	// One packet over a 3-hop path: injection wait 1 + injection channel 1
 	// + 3 x 10 network channels + ejection channel 1 = 33 cycles.
@@ -77,10 +85,8 @@ func TestSinglePacketLatency(t *testing.T) {
 		// InjectionRate gates generation; the sampler fires once.
 		InjectionRate: 1,
 		NumVCs:        8,
-		WarmupCycles:  -1,
 	}
-	s := New(cfg)
-	res := s.Run()
+	res, _ := runWith(cfg, 0, NumSamples)
 	if res.Delivered != 1 {
 		t.Fatalf("delivered = %d", res.Delivered)
 	}
@@ -101,9 +107,8 @@ func TestSameSwitchPacket(t *testing.T) {
 		Traffic:       &oneShot{src: 0, dst: 1},
 		InjectionRate: 1,
 		NumVCs:        4,
-		WarmupCycles:  -1,
 	}
-	res := New(cfg).Run()
+	res, _ := runWith(cfg, 0, NumSamples)
 	if res.Delivered != 1 {
 		t.Fatalf("delivered = %d", res.Delivered)
 	}

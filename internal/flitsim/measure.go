@@ -13,21 +13,21 @@ import (
 // Result.
 func (s *Sim) Run() Result {
 	var dummyLat, dummyCnt int64
-	s.advanceTo(s.clock+int64(s.cfg.WarmupCycles), false, &dummyLat, &dummyCnt)
+	s.advanceTo(s.clock+int64(s.warmup), false, &dummyLat, &dummyCnt)
 	if s.tel != nil {
 		// Mark the warmup/measurement boundary so windows.csv separates
 		// warmup traffic from measured traffic.
 		s.tel.Snapshot(s.clock)
 	}
 	res := Result{
-		SampleLatencies: make([]float64, 0, s.cfg.NumSamples),
-		SampleDelivered: make([]int64, 0, s.cfg.NumSamples),
+		SampleLatencies: make([]float64, 0, s.samples),
+		SampleDelivered: make([]int64, 0, s.samples),
 	}
 	offered := s.cfg.InjectionRate > 0 && s.numTerm > 0
 	injectedBefore := s.injected
-	for sample := 0; sample < s.cfg.NumSamples; sample++ {
+	for sample := 0; sample < s.samples; sample++ {
 		var latSum, count int64
-		s.advanceTo(s.clock+int64(s.cfg.SampleCycles), true, &latSum, &count)
+		s.advanceTo(s.clock+SampleCycles, true, &latSum, &count)
 		if s.tel != nil {
 			s.tel.Snapshot(s.clock)
 		}
@@ -42,7 +42,7 @@ func (s *Sim) Run() Result {
 			res.Saturated = true
 		}
 		res.SampleLatencies = append(res.SampleLatencies, avg)
-		if avg > s.cfg.SatLatency {
+		if avg > satLatency {
 			res.Saturated = true
 		}
 	}
@@ -59,9 +59,8 @@ func (s *Sim) Run() Result {
 	if !s.cfg.SaturationLatencyOnly && injectedMeas > 50 && s.deliveredMeas*10 < injectedMeas*9 {
 		res.Saturated = true
 	}
-	measCycles := s.cfg.SampleCycles * s.cfg.NumSamples
-	if measCycles > 0 && s.numTerm > 0 {
-		res.DeliveredRate = float64(s.deliveredMeas) / (float64(s.numTerm) * float64(measCycles))
+	if s.numTerm > 0 {
+		res.DeliveredRate = float64(s.deliveredMeas) / (float64(s.numTerm) * float64(SampleCycles*s.samples))
 	}
 	res.P50 = s.latPercentile(0.50)
 	res.P95 = s.latPercentile(0.95)

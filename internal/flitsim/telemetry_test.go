@@ -78,8 +78,8 @@ func TestTelemetryReconciles(t *testing.T) {
 	// Windows: one warmup boundary plus one per sample, strictly
 	// increasing cycles, cumulative flits non-decreasing.
 	ws := col.Windows()
-	if len(ws) != 1+cfg.withDefaults().NumSamples {
-		t.Fatalf("got %d windows, want %d", len(ws), 1+cfg.withDefaults().NumSamples)
+	if len(ws) != 1+NumSamples {
+		t.Fatalf("got %d windows, want %d", len(ws), 1+NumSamples)
 	}
 	for i := 1; i < len(ws); i++ {
 		if ws[i].Cycle <= ws[i-1].Cycle || ws[i].Flits < ws[i-1].Flits {

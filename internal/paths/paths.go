@@ -307,62 +307,13 @@ type Quality struct {
 // Analyze computes path sets for the given pairs under cfg and aggregates
 // their quality metrics, in parallel.
 func Analyze(g *graph.Graph, cfg ksp.Config, seed uint64, pairs []Pair, workers int) Quality {
-	type acc struct {
-		c         *ksp.Computer
-		scratch   map[uint64]int
-		pathCount int64
-		hopCount  int64
-		pairs     int
-		disjoint  int
-		maxShare  int
-	}
-	var q Quality
-	var totHops, totPaths int64
-	par.MapReduce(len(pairs), workers,
-		func() *acc {
-			return &acc{
-				c:       ksp.NewComputer(g, cfg, xrand.New(seed)),
-				scratch: make(map[uint64]int, 64),
-			}
+	return analyze(pairs, workers,
+		func() *ksp.Computer { return ksp.NewComputer(g, cfg, xrand.New(seed)) },
+		func(c *ksp.Computer, p Pair) []graph.Path {
+			c.Reseed(seed, pairKey(p.Src, p.Dst))
+			return c.Paths(p.Src, p.Dst)
 		},
-		func(i int, a *acc) {
-			p := pairs[i]
-			a.c.Reseed(seed, pairKey(p.Src, p.Dst))
-			ps := a.c.Paths(p.Src, p.Dst)
-			if len(ps) == 0 {
-				return
-			}
-			a.pairs++
-			share := pairMaxShare(ps, a.scratch)
-			if share <= 1 {
-				a.disjoint++
-			}
-			if share > a.maxShare {
-				a.maxShare = share
-			}
-			for _, path := range ps {
-				a.pathCount++
-				a.hopCount += int64(path.Hops())
-			}
-		},
-		func(a *acc) {
-			q.Pairs += a.pairs
-			q.Fallbacks += a.c.Fallbacks()
-			totHops += a.hopCount
-			totPaths += a.pathCount
-			q.DisjointFraction += float64(a.disjoint) // running count, normalized below
-			if a.maxShare > q.MaxShare {
-				q.MaxShare = a.maxShare
-			}
-		})
-	if totPaths > 0 {
-		q.AvgLen = float64(totHops) / float64(totPaths)
-	}
-	if q.Pairs > 0 {
-		q.DisjointFraction /= float64(q.Pairs)
-		q.AvgPaths = float64(totPaths) / float64(q.Pairs)
-	}
-	return q
+		(*ksp.Computer).Fallbacks)
 }
 
 // AnalyzeDB aggregates the same quality metrics as Analyze from an
@@ -373,7 +324,22 @@ func Analyze(g *graph.Graph, cfg ksp.Config, seed uint64, pairs []Pair, workers 
 // Analyze, thanks to per-pair reseeding). Fallbacks reports the DB's own
 // build-time accounting.
 func AnalyzeDB(db *DB, pairs []Pair, workers int) Quality {
+	q := analyze(pairs, workers,
+		func() *DB { return db },
+		func(db *DB, p Pair) []graph.Path { return db.Paths(p.Src, p.Dst) },
+		func(*DB) int { return 0 })
+	q.Fallbacks = db.Fallbacks()
+	return q
+}
+
+// analyze aggregates the quality metrics of pairs' path sets in parallel.
+// Each worker makes its own path source with newSource and reads a pair's
+// paths through pathsOf; fallbacks reads a finished worker's count of
+// fallback pairs.
+func analyze[S any](pairs []Pair, workers int, newSource func() S,
+	pathsOf func(S, Pair) []graph.Path, fallbacks func(S) int) Quality {
 	type acc struct {
+		src       S
 		scratch   map[uint64]int
 		pathCount int64
 		hopCount  int64
@@ -385,11 +351,10 @@ func AnalyzeDB(db *DB, pairs []Pair, workers int) Quality {
 	var totHops, totPaths int64
 	par.MapReduce(len(pairs), workers,
 		func() *acc {
-			return &acc{scratch: make(map[uint64]int, 64)}
+			return &acc{src: newSource(), scratch: make(map[uint64]int, 64)}
 		},
 		func(i int, a *acc) {
-			p := pairs[i]
-			ps := db.Paths(p.Src, p.Dst)
+			ps := pathsOf(a.src, pairs[i])
 			if len(ps) == 0 {
 				return
 			}
@@ -408,6 +373,7 @@ func AnalyzeDB(db *DB, pairs []Pair, workers int) Quality {
 		},
 		func(a *acc) {
 			q.Pairs += a.pairs
+			q.Fallbacks += fallbacks(a.src)
 			totHops += a.hopCount
 			totPaths += a.pathCount
 			q.DisjointFraction += float64(a.disjoint) // running count, normalized below
@@ -415,7 +381,6 @@ func AnalyzeDB(db *DB, pairs []Pair, workers int) Quality {
 				q.MaxShare = a.maxShare
 			}
 		})
-	q.Fallbacks = db.Fallbacks()
 	if totPaths > 0 {
 		q.AvgLen = float64(totHops) / float64(totPaths)
 	}
