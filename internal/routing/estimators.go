@@ -79,26 +79,25 @@ func (HopEstimator) PathCost(p graph.Path) int { return p.Hops() }
 // decaying per-directed-link count of recent choices, and prices a path
 // the way the paper's UGAL estimate does — (load of the path's first
 // network link) × (hop count), zero-hop paths costing 0. The owner
-// feeds it by calling Observe with each chosen path; every decayEvery
-// observations all counts are halved, so the signal tracks the recent
-// choice mix instead of growing without bound.
+// feeds it by calling ObserveLink for each link of each chosen path;
+// every linkLoadDecay observations all counts are halved, so the signal
+// tracks the recent choice mix instead of growing without bound.
 //
 // Not safe for concurrent use: the owner guards it with the same lock
 // that guards the mechanism State (jfserve holds both under its
-// per-topology mutex).
+// per-stripe mutex).
 type LinkLoadEstimator struct {
-	counts     map[uint64]int
-	obs        int
-	decayEvery int
+	counts map[uint64]int
+	obs    int
 }
 
-// NewLinkLoadEstimator returns an estimator that halves its counts
-// every decayEvery observations (<= 0 selects 4096).
-func NewLinkLoadEstimator(decayEvery int) *LinkLoadEstimator {
-	if decayEvery <= 0 {
-		decayEvery = 4096
-	}
-	return &LinkLoadEstimator{counts: make(map[uint64]int), decayEvery: decayEvery}
+// linkLoadDecay is the number of link observations between two halvings
+// of a LinkLoadEstimator's counts.
+const linkLoadDecay = 4096
+
+// NewLinkLoadEstimator returns an estimator with no load recorded.
+func NewLinkLoadEstimator() *LinkLoadEstimator {
+	return &LinkLoadEstimator{counts: make(map[uint64]int)}
 }
 
 func dirLinkKey(u, v graph.NodeID) uint64 {
@@ -113,43 +112,24 @@ func (e *LinkLoadEstimator) PathCost(p graph.Path) int {
 	return e.counts[dirLinkKey(p[0], p[1])] * p.Hops()
 }
 
-// Observe records that the path was chosen, incrementing the count of
-// every directed link it traverses and decaying all counts when due.
-func (e *LinkLoadEstimator) Observe(p graph.Path) {
-	for i := 0; i+1 < len(p); i++ {
-		e.counts[dirLinkKey(p[i], p[i+1])]++
-	}
-	e.obs++
-	if e.obs >= e.decayEvery {
-		e.obs = 0
-		for k, v := range e.counts {
-			if v <= 1 {
-				delete(e.counts, k)
-			} else {
-				e.counts[k] = v / 2
-			}
-		}
-	}
-}
-
-// ObserveLink records one chosen traversal of the directed link u→v,
-// for owners that shard estimator state by link source (jfserve's
-// stripes): PathCost prices a path by its first link — a link out of
-// the path's source — so a sharding owner must land each link's
-// increment on the estimator whose PathCost calls read that link.
-// Decay runs on the Observe schedule with each link counting as one
-// observation.
+// ObserveLink records one chosen traversal of the directed link u→v and
+// halves all counts, dropping those that reach zero, every
+// linkLoadDecay calls. PathCost prices a path by its first link, a link
+// out of the path's source, so an owner that shards estimator state by
+// link source (jfserve's stripes) lands each link's increment on the
+// estimator whose PathCost calls read that link.
 func (e *LinkLoadEstimator) ObserveLink(u, v graph.NodeID) {
 	e.counts[dirLinkKey(u, v)]++
 	e.obs++
-	if e.obs >= e.decayEvery {
-		e.obs = 0
-		for k, n := range e.counts {
-			if n <= 1 {
-				delete(e.counts, k)
-			} else {
-				e.counts[k] = n / 2
-			}
+	if e.obs < linkLoadDecay {
+		return
+	}
+	e.obs = 0
+	for k, n := range e.counts {
+		if n <= 1 {
+			delete(e.counts, k)
+		} else {
+			e.counts[k] = n / 2
 		}
 	}
 }
@@ -164,7 +144,7 @@ func EstimatorByName(name string) (LoadEstimator, error) {
 	case "hops":
 		return HopEstimator{}, nil
 	case "link-load":
-		return NewLinkLoadEstimator(0), nil
+		return NewLinkLoadEstimator(), nil
 	}
 	return nil, fmt.Errorf("routing: unknown estimator %q (valid: zero, hops, link-load)", name)
 }

@@ -34,15 +34,22 @@ func TestZeroAndHopEstimators(t *testing.T) {
 	}
 }
 
+// observe feeds every link of p to the estimator, as a path's owner does.
+func observe(e *LinkLoadEstimator, p graph.Path) {
+	for i := 0; i+1 < len(p); i++ {
+		e.ObserveLink(p[i], p[i+1])
+	}
+}
+
 func TestLinkLoadEstimator(t *testing.T) {
-	e := NewLinkLoadEstimator(0)
+	e := NewLinkLoadEstimator()
 	p := graph.Path{0, 1, 2}
 	q := graph.Path{0, 3, 2}
 	if e.PathCost(p) != 0 || e.PathCost(q) != 0 {
 		t.Fatal("fresh estimator must cost 0")
 	}
-	e.Observe(p)
-	e.Observe(p)
+	observe(e, p)
+	observe(e, p)
 	// Cost = first-link count × hops: link 0->1 carried 2 choices.
 	if c := e.PathCost(p); c != 2*2 {
 		t.Fatalf("cost after 2 observations = %d, want 4", c)
@@ -56,22 +63,24 @@ func TestLinkLoadEstimator(t *testing.T) {
 }
 
 func TestLinkLoadDecay(t *testing.T) {
-	e := NewLinkLoadEstimator(4)
+	e := NewLinkLoadEstimator()
 	p := graph.Path{0, 1}
-	for i := 0; i < 4; i++ {
-		e.Observe(p)
+	for i := 0; i < linkLoadDecay; i++ {
+		e.ObserveLink(0, 1)
 	}
-	// The 4th observation triggers a halving: 4 counts become 2.
-	if c := e.PathCost(p); c != 2 {
-		t.Fatalf("cost after decay = %d, want 2", c)
+	// The last observation of the period triggers a halving.
+	if c := e.PathCost(p); c != linkLoadDecay/2 {
+		t.Fatalf("cost after decay = %d, want %d", c, linkLoadDecay/2)
 	}
 	// Counts that decay to <= 0 are dropped, bounding the map.
-	q := graph.Path{2, 3}
-	e.Observe(q)
-	for i := 0; i < 8; i++ {
-		e.Observe(p)
+	e.ObserveLink(2, 3)
+	for i := 0; i < 2*linkLoadDecay; i++ {
+		e.ObserveLink(0, 1)
 	}
-	if c := e.PathCost(q); c != 0 {
+	if c := e.PathCost(graph.Path{2, 3}); c != 0 {
 		t.Fatalf("fully decayed link still costs %d", c)
+	}
+	if len(e.counts) != 1 {
+		t.Fatalf("%d links counted, want only 0->1", len(e.counts))
 	}
 }

@@ -89,6 +89,9 @@ func TestDifferentialOps(t *testing.T) {
 		{"batch-too-large", serve.Request{Op: serve.OpRoutesBatch, Topo: "pending", Pairs: oversized}},
 		{"route-unknown-topo", serve.Request{Op: serve.OpRoute, Topo: "no-such-key", Src: &src0, Dst: &dst1}},
 		{"bad-topo-params", serve.Request{Op: serve.OpTopoLoad, Params: &serve.TopoParams{Topo: "galactic"}}},
+		{"bad-topo-k", serve.Request{Op: serve.OpTopoLoad, Params: &serve.TopoParams{Topo: "small", K: -1}}},
+		{"bad-topo-sampled-ugal", serve.Request{Op: serve.OpTopoLoad,
+			Params: &serve.TopoParams{Topo: "small", PairSample: 20, Mechanism: "ugal"}}},
 		{"evict-unknown", serve.Request{Op: serve.OpTopoEvict, Topo: "no-such-key"}},
 	}
 

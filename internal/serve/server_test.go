@@ -349,6 +349,8 @@ func TestBadTopoParams(t *testing.T) {
 		{Topo: "small", Mechanism: "nope"},
 		{Topo: "small", Estimator: "nope"},
 		{Topo: "small", PairSample: -1},
+		{Topo: "small", K: -1},
+		{Topo: "small", PairSample: 20, Mechanism: "ugal"},
 	} {
 		_, err := c.TopoLoad(bg, p)
 		wantCode(t, err, serve.CodeBadRequest)
