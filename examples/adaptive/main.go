@@ -24,7 +24,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	db := paths.NewDB(topo.G, ksp.Config{Alg: ksp.REDKSP, K: 8}, 11)
+	db := paths.BuildAllPairs(topo.G, ksp.Config{Alg: ksp.REDKSP, K: 8}, 11, 0)
 	pattern := traffic.RandomShift(topo.NumTerminals(), xrand.New(3))
 	fmt.Printf("topology %v (%d nodes), traffic %s, selector rEDKSP(8)\n\n",
 		params, topo.NumTerminals(), pattern.Name)

@@ -30,8 +30,8 @@ func main() {
 		topo.Params(), topo.N, topo.NumTerminals(), topo.G.NumEdges())
 
 	// rEDKSP (randomized edge-disjoint KSP, the paper's best) with k = 8
-	// paths per switch pair, computed lazily on first use.
-	db := paths.NewDB(topo.G, ksp.Config{Alg: ksp.REDKSP, K: 8}, seed)
+	// paths for every ordered switch pair, built in parallel up front.
+	db := paths.BuildAllPairs(topo.G, ksp.Config{Alg: ksp.REDKSP, K: 8}, seed, 0)
 
 	// The k paths between two compute nodes (resolved to their switches).
 	ps := db.Paths(topo.SwitchOf(0), topo.SwitchOf(250))

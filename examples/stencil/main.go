@@ -34,7 +34,7 @@ func main() {
 	}
 	dbs := map[ksp.Algorithm]*paths.DB{}
 	for _, alg := range []ksp.Algorithm{ksp.REDKSP, ksp.KSP, ksp.RKSP} {
-		dbs[alg] = paths.NewDB(topo.G, ksp.Config{Alg: alg, K: 8}, 7)
+		dbs[alg] = paths.BuildAllPairs(topo.G, ksp.Config{Alg: alg, K: 8}, 7, 0)
 	}
 	nTerms := topo.NumTerminals()
 

@@ -30,7 +30,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	}
 	dbs := map[ksp.Algorithm]*paths.DB{}
 	for _, alg := range []ksp.Algorithm{ksp.KSP, ksp.REDKSP} {
-		dbs[alg] = paths.NewDB(topo.G, ksp.Config{Alg: alg, K: k}, seed)
+		dbs[alg] = paths.BuildAllPairs(topo.G, ksp.Config{Alg: alg, K: k}, seed, 0)
 	}
 	nTerms := topo.NumTerminals()
 
@@ -118,7 +118,7 @@ func TestSeedReproducibility(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		db := paths.NewDB(topo.G, ksp.Config{Alg: ksp.REDKSP, K: 4}, 99)
+		db := paths.BuildAllPairs(topo.G, ksp.Config{Alg: ksp.REDKSP, K: 4}, 99, 0)
 		pat := traffic.RandomShift(topo.NumTerminals(), xrand.New(3))
 		m := model.Throughput(topo, db, pat, 0)
 		s := flitsim.New(flitsim.Config{

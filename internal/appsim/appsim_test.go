@@ -21,7 +21,7 @@ func jelly(t testing.TB, n, x, y int, seed uint64) *jellyfish.Topology {
 }
 
 func pdb(topo *jellyfish.Topology, alg ksp.Algorithm, k int) *paths.DB {
-	return paths.NewDB(topo.G, ksp.Config{Alg: alg, K: k}, 1)
+	return paths.BuildAllPairs(topo.G, ksp.Config{Alg: alg, K: k}, 1, 0)
 }
 
 func TestSingleFlowSerializationBound(t *testing.T) {
@@ -134,7 +134,7 @@ func TestDeterminism(t *testing.T) {
 	run := func() Result {
 		res, err := Run(Config{
 			Topo:      topo,
-			Paths:     paths.NewDB(topo.G, ksp.Config{Alg: ksp.REDKSP, K: 4}, 9),
+			Paths:     paths.BuildAllPairs(topo.G, ksp.Config{Alg: ksp.REDKSP, K: 4}, 9, 0),
 			Mechanism: routing.KSPAdaptive(),
 			Flows:     w.Apply(traffic.LinearMapping(topo.NumTerminals())),
 			Seed:      11,

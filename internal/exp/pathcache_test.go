@@ -22,8 +22,9 @@ func cacheDirEntries(t *testing.T, dir string) int {
 
 // TestFlitResultsIdenticalWithPathCache is the acceptance check for the
 // cache wiring: the cycle-level experiment must produce identical
-// results whether its path DBs are computed lazily in-process, built
-// eagerly on a cache miss, or streamed back in on a cache hit.
+// results whether its path DBs are built in-process over the pairs it
+// reads, built over all pairs on a cache miss, or streamed back in on a
+// cache hit.
 func TestFlitResultsIdenticalWithPathCache(t *testing.T) {
 	cfg := FlitConfig{
 		Params:  tiny,

@@ -1,11 +1,6 @@
 package flitsim
 
-import (
-	"testing"
-
-	"repro/internal/ksp"
-	"repro/internal/paths"
-)
+import "testing"
 
 // TestWheelSlotRecycling pins the wheel's spare-swap scheme: take hands
 // the emptied slot's backing array to the next take, so steady-state
@@ -79,10 +74,6 @@ func TestSteadyStateAllocsFlat(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := smallCfg(t, tc.load, 21)
-			// Build the path DB eagerly: the lazy DB computes KSP on first
-			// touch of a pair, and a rare pair first hit inside the measured
-			// window would charge the whole KSP computation to Step.
-			cfg.Paths = paths.BuildAllPairs(cfg.Topo.G, ksp.Config{Alg: ksp.REDKSP, K: 4}, 1, 0)
 			s := New(cfg)
 			s.Step(10000)
 			avg := testing.AllocsPerRun(50, func() { s.Step(200) })

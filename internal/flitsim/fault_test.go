@@ -43,8 +43,7 @@ func TestFaultEmptyScheduleBitIdentical(t *testing.T) {
 		withNil := base
 		withNil.Faults = nil
 		withNil.FaultPolicy = faults.Policy{Drop: true}
-		// Fresh DB: the lazily filled path DB must not leak state between
-		// runs through shared config.
+		// Fresh DB: a run must not depend on which DB instance it reads.
 		withNil.Paths = db(topo, ksp.REDKSP, 4)
 
 		withEmpty := base

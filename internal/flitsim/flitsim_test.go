@@ -48,7 +48,7 @@ func jelly(t testing.TB, n, x, y int, seed uint64) *jellyfish.Topology {
 }
 
 func db(topo *jellyfish.Topology, alg ksp.Algorithm, k int) *paths.DB {
-	return paths.NewDB(topo.G, ksp.Config{Alg: alg, K: k}, 1)
+	return paths.BuildAllPairs(topo.G, ksp.Config{Alg: alg, K: k}, 1, 0)
 }
 
 // smallCfg is the golden harness's jelly(12,8,4,3) with an rEDKSP k=4
@@ -171,7 +171,7 @@ func TestDeterminism(t *testing.T) {
 	mk := func() Result {
 		return New(Config{
 			Topo:          topo,
-			Paths:         paths.NewDB(topo.G, ksp.Config{Alg: ksp.REDKSP, K: 4}, 11),
+			Paths:         paths.BuildAllPairs(topo.G, ksp.Config{Alg: ksp.REDKSP, K: 4}, 11, 0),
 			Mechanism:     routing.KSPAdaptive(),
 			Traffic:       traffic.Uniform{N: topo.NumTerminals()},
 			InjectionRate: 0.4,
@@ -354,7 +354,7 @@ func TestRoundRobinCyclesPaths(t *testing.T) {
 	b.AddEdge(2, 3)
 	b.AddEdge(3, 0)
 	topo := &jellyfish.Topology{G: b.Graph(), N: 4, X: 3, Y: 2}
-	pdb := paths.NewDB(topo.G, ksp.Config{Alg: ksp.EDKSP, K: 2}, 1)
+	pdb := paths.BuildAllPairs(topo.G, ksp.Config{Alg: ksp.EDKSP, K: 2}, 1, 0)
 	s := New(Config{
 		Topo:      topo,
 		Paths:     pdb,
@@ -382,7 +382,7 @@ func TestKSPAdaptiveAvoidsCongestedPath(t *testing.T) {
 	b.AddEdge(2, 3)
 	b.AddEdge(3, 0)
 	topo := &jellyfish.Topology{G: b.Graph(), N: 4, X: 3, Y: 2}
-	pdb := paths.NewDB(topo.G, ksp.Config{Alg: ksp.EDKSP, K: 2}, 1)
+	pdb := paths.BuildAllPairs(topo.G, ksp.Config{Alg: ksp.EDKSP, K: 2}, 1, 0)
 	s := New(Config{
 		Topo:      topo,
 		Paths:     pdb,

@@ -31,7 +31,7 @@ func TestFaultSweepParallelSmoke(t *testing.T) {
 	}
 	cfg := Config{
 		Topo:      topo,
-		Paths:     paths.NewDB(topo.G, ksp.Config{Alg: ksp.REDKSP, K: 4}, 1),
+		Paths:     paths.BuildAllPairs(topo.G, ksp.Config{Alg: ksp.REDKSP, K: 4}, 1, 0),
 		Mechanism: routing.KSPAdaptive(),
 		Traffic:   traffic.Uniform{N: topo.NumTerminals()},
 		Seed:      11,
@@ -62,7 +62,7 @@ const goldenFile = "testdata/golden_results.json"
 // behavior change is intended.
 func TestResultGolden(t *testing.T) {
 	topo := jelly(t, 12, 8, 4, 3)
-	pdb := paths.NewDB(topo.G, ksp.Config{Alg: ksp.REDKSP, K: 4}, 1)
+	pdb := paths.BuildAllPairs(topo.G, ksp.Config{Alg: ksp.REDKSP, K: 4}, 1, 0)
 	mechs := append(routing.Mechanisms(), routing.SP())
 
 	faultSched, err := faults.ParseSpec("random:2@600,1@2200", topo.G, 99)

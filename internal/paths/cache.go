@@ -210,28 +210,14 @@ func CacheFileName(key uint64) string {
 	return fmt.Sprintf("pathdb-v%d-%016x.jfpc", cacheVersion, key)
 }
 
-// WriteCache serializes the DB's stored path sets in the binary cache
-// format under the given cache key. Pairs are emitted in ascending
-// (src, dst) order and the stream is checksummed, so output bytes are
-// identical for any two DBs holding the same path sets — eager builds at
-// any worker count, lazy fills in any order, or a prior cache load.
+// WriteCache serializes the DB's path sets in the binary cache format
+// under the given cache key. Pairs are emitted in ascending (src, dst)
+// order — the store's own order, whose node arena holds the paths
+// back to back in that order — and the stream is checksummed, so output
+// bytes are identical for any two DBs holding the same path sets:
+// builds at any worker count, or a prior cache load.
 func (db *DB) WriteCache(w io.Writer, key uint64) error {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-
-	var numPairs, numPaths, arenaLen uint64
-	countErr := db.forEachSortedLocked(func(_ uint64, ps []graph.Path) error {
-		numPairs++
-		numPaths += uint64(len(ps))
-		for _, p := range ps {
-			arenaLen += uint64(len(p))
-		}
-		return nil
-	})
-	if countErr != nil {
-		return countErr
-	}
-
+	st := db.st
 	bw := bufio.NewWriterSize(w, 1<<16)
 	hw := &hashWriter{w: bw, h: fnv.New64a()}
 	e := &leWriter{w: hw}
@@ -255,43 +241,20 @@ func (db *DB) WriteCache(w io.Writer, key uint64) error {
 	}
 	e.u8(flags)
 	e.u64(db.seed)
-	fallbacks := uint64(db.fallbacks)
-	if db.st != nil {
-		fallbacks += uint64(db.st.fallbacks)
-	}
-	e.u64(fallbacks)
-	e.u64(numPairs)
-	e.u64(numPaths)
-	e.u64(arenaLen)
-
-	err := db.forEachSortedLocked(func(k uint64, ps []graph.Path) error {
+	e.u64(uint64(st.fallbacks))
+	e.u64(uint64(len(st.keys)))
+	e.u64(uint64(len(st.heads)))
+	e.u64(uint64(len(st.arena)))
+	for i, k := range st.keys {
 		e.u32(uint32(k >> 32))
 		e.u32(uint32(k))
-		e.u32(uint32(len(ps)))
-		return e.err
-	})
-	if err != nil {
-		return err
+		e.u32(uint32(st.pairOff[i+1] - st.pairOff[i]))
 	}
-	err = db.forEachSortedLocked(func(_ uint64, ps []graph.Path) error {
-		for _, p := range ps {
-			e.u32(uint32(len(p)))
-		}
-		return e.err
-	})
-	if err != nil {
-		return err
+	for _, p := range st.heads {
+		e.u32(uint32(len(p)))
 	}
-	err = db.forEachSortedLocked(func(_ uint64, ps []graph.Path) error {
-		for _, p := range ps {
-			for _, u := range p {
-				e.u32(uint32(u))
-			}
-		}
-		return e.err
-	})
-	if err != nil {
-		return err
+	for _, u := range st.arena {
+		e.u32(uint32(u))
 	}
 	if e.err != nil {
 		return e.err
@@ -501,9 +464,7 @@ func ReadCache(r io.Reader, g *graph.Graph) (*DB, uint64, error) {
 		return nil, 0, verr
 	}
 
-	db := NewDB(g, cfg, seed)
-	db.st = st
-	return db, key, nil
+	return &DB{g: g, cfg: cfg, seed: seed, st: st}, key, nil
 }
 
 // validateStorePaths checks that every packed path only traverses edges

@@ -301,7 +301,7 @@ func TestReadCacheRejectsWrongGraph(t *testing.T) {
 
 func TestReadCacheEmptyDB(t *testing.T) {
 	g := testGraph(t)
-	empty := NewDB(g, ksp.Config{Alg: ksp.KSP, K: 2}, 3)
+	empty := Build(g, ksp.Config{Alg: ksp.KSP, K: 2}, 3, nil, 1)
 	var buf bytes.Buffer
 	if err := empty.WriteCache(&buf, 5); err != nil {
 		t.Fatal(err)
@@ -347,30 +347,36 @@ func TestCacheKeySensitivity(t *testing.T) {
 }
 
 func TestLoadedDBLazyFillMatchesFresh(t *testing.T) {
-	// Pairs outside the cached bulk are computed lazily and must match a
-	// fresh DB (per-pair reseeding is independent of the store).
+	// A cache-loaded DB holds exactly what a fresh build over the same
+	// pairs holds, and answers an absent pair with ErrNotStored.
 	g := testGraph(t)
 	cfg := ksp.Config{Alg: ksp.RKSP, K: 3}
-	partial := Build(g, cfg, 9, []Pair{{0, 1}, {2, 3}}, 1)
+	pairs := []Pair{{0, 1}, {2, 3}, {5, 9}}
 	var buf bytes.Buffer
-	if err := partial.WriteCache(&buf, 4); err != nil {
+	if err := Build(g, cfg, 9, pairs, 1).WriteCache(&buf, 4); err != nil {
 		t.Fatal(err)
 	}
 	loaded, _, err := ReadCache(&buf, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh := NewDB(g, cfg, 9)
+	fresh := Build(g, cfg, 9, pairs, 2)
+	if !bytes.Equal(textBytes(t, loaded), textBytes(t, fresh)) {
+		t.Fatal("cache-loaded DB differs from a fresh build")
+	}
 	a, b := loaded.Paths(5, 9), fresh.Paths(5, 9)
 	if len(a) != len(b) || len(a) == 0 {
-		t.Fatalf("lazy fill: %d vs %d paths", len(a), len(b))
+		t.Fatalf("Paths(5, 9): %d vs %d paths", len(a), len(b))
 	}
 	for i := range a {
 		if !a[i].Equal(b[i]) {
-			t.Fatalf("lazy path %d differs after cache load", i)
+			t.Fatalf("path %d differs after cache load", i)
 		}
 	}
 	if loaded.NumPairs() != 3 {
-		t.Fatalf("NumPairs = %d, want 3 (2 packed + 1 lazy)", loaded.NumPairs())
+		t.Fatalf("NumPairs = %d, want 3", loaded.NumPairs())
+	}
+	if _, err := loaded.Lookup(9, 5); !errors.Is(err, ErrNotStored) {
+		t.Fatalf("Lookup(9, 5) = %v, want %v", err, ErrNotStored)
 	}
 }

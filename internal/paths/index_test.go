@@ -15,8 +15,7 @@ import (
 // checkAgainstOracle compares Lookup and Paths with a map from each
 // stored pair to its path set, for every (s, d) in [-1, n]²: stored
 // pairs, pairs absent from a partial row, self pairs and out-of-range
-// ids. Lookup runs first because it never computes, so a stored pair the
-// index misses shows as ErrNotStored rather than as a lazy recompute.
+// ids. Paths must panic on every in-range pair the oracle lacks.
 func checkAgainstOracle(t *testing.T, db *DB, oracle map[uint64][]graph.Path) {
 	t.Helper()
 	n := graph.NodeID(db.Graph().NumNodes())
@@ -37,6 +36,9 @@ func checkAgainstOracle(t *testing.T, db *DB, oracle map[uint64][]graph.Path) {
 				if !errors.Is(err, wantErr) || ps != nil {
 					t.Fatalf("Lookup(%d, %d) = %d paths, %v; want %v", s, d, len(ps), err, wantErr)
 				}
+				if wantErr == ErrNotStored && !panics(func() { db.Paths(s, d) }) {
+					t.Fatalf("Paths(%d, %d) on an absent pair did not panic", s, d)
+				}
 				continue
 			}
 			if err != nil || !samePathSet(ps, want) {
@@ -51,8 +53,15 @@ func checkAgainstOracle(t *testing.T, db *DB, oracle map[uint64][]graph.Path) {
 		}
 	}
 	if got := db.NumPairs(); got != len(oracle) {
-		t.Fatalf("NumPairs = %d after reading every stored pair, want %d", got, len(oracle))
+		t.Fatalf("NumPairs = %d, want %d", got, len(oracle))
 	}
+}
+
+// panics reports whether f panics.
+func panics(f func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	f()
+	return false
 }
 
 func samePathSet(a, b []graph.Path) bool {
@@ -60,15 +69,14 @@ func samePathSet(a, b []graph.Path) bool {
 }
 
 // TestStoreIndexMatchesOracle checks the per-source index of the packed
-// store on an all-pairs DB (complete rows), a sampled DB (partial rows
-// plus one complete row), both again after a cache round trip, and a
-// lazy fill on top of the sampled DB.
+// store on an all-pairs DB (complete rows) and a sampled DB (partial rows
+// plus one complete row), both again after a cache round trip.
 func TestStoreIndexMatchesOracle(t *testing.T) {
 	g := testGraph(t)
 	n := g.NumNodes()
 	cfg := ksp.Config{Alg: ksp.REDKSP, K: 4}
-	// Per-pair reseeding makes a lazy DB's sets the ones any build stores.
-	ref := NewDB(g, cfg, 7)
+	// Per-pair reseeding makes the all-pairs sets the ones any build stores.
+	ref := BuildAllPairs(g, cfg, 7, 2)
 	oracleOf := func(pairs []Pair) map[uint64][]graph.Path {
 		m := map[uint64][]graph.Path{}
 		for _, p := range pairs {
@@ -96,18 +104,7 @@ func TestStoreIndexMatchesOracle(t *testing.T) {
 		}
 		for kind, db := range map[string]*DB{"built": built, "cache-loaded": loaded} {
 			t.Run(name+"/"+kind, func(t *testing.T) {
-				oracle := oracleOf(pairs)
-				checkAgainstOracle(t, db, oracle)
-				if name != "sampled" {
-					return
-				}
-				// Lazily fill every absent pair of row 5, then check again.
-				for d := graph.NodeID(0); int(d) < n; d++ {
-					if _, ok := oracle[pairKey(5, d)]; !ok && d != 5 {
-						oracle[pairKey(5, d)] = db.Paths(5, d)
-					}
-				}
-				checkAgainstOracle(t, db, oracle)
+				checkAgainstOracle(t, db, oracleOf(pairs))
 			})
 		}
 	}

@@ -2,6 +2,7 @@ package paths
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -9,8 +10,8 @@ import (
 )
 
 // TestLookupTypedErrors is the regression test for the serving-layer
-// bugfix: absent pairs must answer a typed error, never an empty or
-// lazily computed path set.
+// bugfix: absent pairs must answer a typed error, never an empty path
+// set, and Paths must refuse them loudly.
 func TestLookupTypedErrors(t *testing.T) {
 	g := testGraph(t)
 	cfg := ksp.Config{Alg: ksp.REDKSP, K: 4}
@@ -41,16 +42,19 @@ func TestLookupTypedErrors(t *testing.T) {
 		}
 	}
 
-	// Lookup never computes lazily — but it does see pairs that Paths
-	// has since cached, so servers and simulators agree on what exists.
+	// Paths panics on the absent pair, naming it, and computes nothing:
+	// Lookup still answers ErrNotStored afterwards.
+	func() {
+		defer func() {
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, "pair 1->0") {
+				t.Fatalf("Paths(1, 0) panic = %q, want one naming pair 1->0", msg)
+			}
+		}()
+		db.Paths(1, 0)
+	}()
 	if _, err := db.Lookup(1, 0); !errors.Is(err, ErrNotStored) {
-		t.Fatalf("pre-compute Lookup(1, 0) = %v, want %v", err, ErrNotStored)
-	}
-	if got := db.Paths(1, 0); len(got) == 0 {
-		t.Fatal("lazy Paths(1, 0) computed nothing")
-	}
-	if ps, err := db.Lookup(1, 0); err != nil || len(ps) == 0 {
-		t.Fatalf("post-compute Lookup(1, 0) = %d paths, err %v", len(ps), err)
+		t.Fatalf("Lookup(1, 0) after Paths = %v, want %v", err, ErrNotStored)
 	}
 }
 

@@ -79,33 +79,43 @@ func TestBuildAndLookup(t *testing.T) {
 }
 
 func TestLazyEqualsEager(t *testing.T) {
-	// Lazily computed paths must be identical to an eager build: the
-	// per-pair reseeding makes results schedule-independent.
+	// A build over a subset of the pairs stores exactly the path sets the
+	// all-pairs build stores for them: per-pair reseeding makes a pair's
+	// set independent of which other pairs were built.
 	g := testGraph(t)
 	cfg := ksp.Config{Alg: ksp.REDKSP, K: 4}
 	eager := BuildAllPairs(g, cfg, 99, 4)
-	lazy := NewDB(g, cfg, 99)
+	var pairs []Pair
 	for s := graph.NodeID(0); s < 24; s += 3 {
 		for d := graph.NodeID(0); d < 24; d += 5 {
-			if s == d {
-				continue
-			}
-			a, b := eager.Paths(s, d), lazy.Paths(s, d)
-			if len(a) != len(b) {
-				t.Fatalf("%d->%d: count %d vs %d", s, d, len(a), len(b))
-			}
-			for i := range a {
-				if !a[i].Equal(b[i]) {
-					t.Fatalf("%d->%d path %d: %v vs %v", s, d, i, a[i], b[i])
-				}
+			pairs = append(pairs, Pair{s, d})
+		}
+	}
+	subset := Build(g, cfg, 99, pairs, 3)
+	if subset.NumPairs() != len(pairs)-2 { // (0,0) and (15,15) are self pairs
+		t.Fatalf("NumPairs = %d, want %d", subset.NumPairs(), len(pairs)-2)
+	}
+	for _, p := range pairs {
+		if p.Src == p.Dst {
+			continue
+		}
+		a, b := eager.Paths(p.Src, p.Dst), subset.Paths(p.Src, p.Dst)
+		if len(a) != len(b) {
+			t.Fatalf("%d->%d: count %d vs %d", p.Src, p.Dst, len(a), len(b))
+		}
+		for i := range a {
+			if !a[i].Equal(b[i]) {
+				t.Fatalf("%d->%d path %d: %v vs %v", p.Src, p.Dst, i, a[i], b[i])
 			}
 		}
 	}
 }
 
 func TestConcurrentLazyAccess(t *testing.T) {
+	// Readers share one DB without locks; run under -race (make
+	// race-paths).
 	g := testGraph(t)
-	db := NewDB(g, ksp.Config{Alg: ksp.RKSP, K: 3}, 5)
+	db := BuildAllPairs(g, ksp.Config{Alg: ksp.RKSP, K: 3}, 5, 2)
 	var wg sync.WaitGroup
 	errs := make(chan string, 64)
 	for w := 0; w < 8; w++ {

@@ -48,7 +48,7 @@ func TestCrossSimulatorParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := topo.G
-	db := paths.NewDB(g, ksp.Config{Alg: ksp.REDKSP, K: k}, 1)
+	db := paths.BuildAllPairs(g, ksp.Config{Alg: ksp.REDKSP, K: k}, 1, 0)
 
 	// One occupancy array read by both estimators through different code
 	// paths.
@@ -134,7 +134,7 @@ func TestParityRNGConsumption(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := topo.G
-	db := paths.NewDB(g, ksp.Config{Alg: ksp.REDKSP, K: 8}, 1)
+	db := paths.BuildAllPairs(g, ksp.Config{Alg: ksp.REDKSP, K: 8}, 1, 0)
 	v := &View{Provider: db, NumNodes: g.NumNodes(), MaxHops: 12}
 
 	zero := funcEstimator(func(graph.Path) int { return 0 })
