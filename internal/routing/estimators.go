@@ -83,12 +83,31 @@ func (HopEstimator) PathCost(p graph.Path) int { return p.Hops() }
 // every linkLoadDecay observations all counts are halved, so the signal
 // tracks the recent choice mix instead of growing without bound.
 //
+// The counts live in a flat open-addressed table keyed by the directed
+// (u, v) pair: linear probing over a power-of-two slot count, grown by
+// doubling to stay at most half full. A link keeps its slot once
+// observed, and decay takes its count to 0 rather than out of the
+// table, so the table holds at most the graph's directed links and a
+// price or an observation costs one hash and a short probe, never a
+// map operation.
+//
 // Not safe for concurrent use: the owner guards it with the same lock
 // that guards the mechanism State (jfserve holds both under its
 // per-stripe mutex).
 type LinkLoadEstimator struct {
-	counts map[uint64]int
-	obs    int
+	slots []linkSlot
+	shift uint // 64 - log2(len(slots)): the hash's top bits pick the home slot
+	used  int  // slots holding a link
+	obs   int
+}
+
+// linkSlot is one directed link's decaying count. A count never
+// exceeds 2·linkLoadDecay (a period adds at most linkLoadDecay to a
+// count that decay then halves), so int32 holds it.
+type linkSlot struct {
+	key  uint64 // dirLinkKey(u, v)
+	n    int32
+	used bool
 }
 
 // linkLoadDecay is the number of link observations between two halvings
@@ -97,39 +116,73 @@ const linkLoadDecay = 4096
 
 // NewLinkLoadEstimator returns an estimator with no load recorded.
 func NewLinkLoadEstimator() *LinkLoadEstimator {
-	return &LinkLoadEstimator{counts: make(map[uint64]int)}
+	return &LinkLoadEstimator{slots: make([]linkSlot, 2), shift: 63}
 }
 
 func dirLinkKey(u, v graph.NodeID) uint64 {
 	return uint64(uint32(u))<<32 | uint64(uint32(v))
 }
 
+// slot returns the index of key's slot, or of the empty slot where key
+// would go. Fibonacci hashing spreads the (u, v) keys, whose low and
+// high words are small switch ids, over the whole table; the table is
+// never more than half full, so the probe always ends.
+func (e *LinkLoadEstimator) slot(key uint64) int {
+	mask := len(e.slots) - 1
+	i := int((key * 0x9e3779b97f4a7c15) >> e.shift)
+	for {
+		if s := &e.slots[i]; !s.used || s.key == key {
+			return i
+		}
+		i = (i + 1) & mask
+	}
+}
+
 // PathCost implements LoadEstimator: first-link load × hop count.
 func (e *LinkLoadEstimator) PathCost(p graph.Path) int {
-	if p.Hops() == 0 {
+	h := p.Hops()
+	if h <= 0 {
 		return 0
 	}
-	return e.counts[dirLinkKey(p[0], p[1])] * p.Hops()
+	return int(e.slots[e.slot(dirLinkKey(p[0], p[1]))].n) * h
 }
 
 // ObserveLink records one chosen traversal of the directed link u→v and
-// halves all counts, dropping those that reach zero, every
-// linkLoadDecay calls. PathCost prices a path by its first link, a link
-// out of the path's source, so an owner that shards estimator state by
-// link source (jfserve's stripes) lands each link's increment on the
-// estimator whose PathCost calls read that link.
+// halves all counts every linkLoadDecay calls. PathCost prices a path
+// by its first link, a link out of the path's source, so an owner that
+// shards estimator state by link source (jfserve's stripes) lands each
+// link's increment on the estimator whose PathCost calls read that
+// link.
 func (e *LinkLoadEstimator) ObserveLink(u, v graph.NodeID) {
-	e.counts[dirLinkKey(u, v)]++
+	key := dirLinkKey(u, v)
+	i := e.slot(key)
+	if !e.slots[i].used {
+		if 2*(e.used+1) > len(e.slots) {
+			e.grow()
+			i = e.slot(key)
+		}
+		e.slots[i] = linkSlot{key: key, used: true}
+		e.used++
+	}
+	e.slots[i].n++
 	e.obs++
 	if e.obs < linkLoadDecay {
 		return
 	}
 	e.obs = 0
-	for k, n := range e.counts {
-		if n <= 1 {
-			delete(e.counts, k)
-		} else {
-			e.counts[k] = n / 2
+	for i := range e.slots {
+		e.slots[i].n /= 2
+	}
+}
+
+// grow doubles the table and rehashes every link into it.
+func (e *LinkLoadEstimator) grow() {
+	old := e.slots
+	e.slots = make([]linkSlot, 2*len(old))
+	e.shift--
+	for _, s := range old {
+		if s.used {
+			e.slots[e.slot(s.key)] = s
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/xrand"
 )
 
 func TestEstimatorByName(t *testing.T) {
@@ -72,7 +73,9 @@ func TestLinkLoadDecay(t *testing.T) {
 	if c := e.PathCost(p); c != linkLoadDecay/2 {
 		t.Fatalf("cost after decay = %d, want %d", c, linkLoadDecay/2)
 	}
-	// Counts that decay to <= 0 are dropped, bounding the map.
+	// A link whose count decays to 0 reads 0 but keeps its slot; the
+	// table stays at most half full, so it holds no more than twice the
+	// distinct links observed.
 	e.ObserveLink(2, 3)
 	for i := 0; i < 2*linkLoadDecay; i++ {
 		e.ObserveLink(0, 1)
@@ -80,7 +83,98 @@ func TestLinkLoadDecay(t *testing.T) {
 	if c := e.PathCost(graph.Path{2, 3}); c != 0 {
 		t.Fatalf("fully decayed link still costs %d", c)
 	}
-	if len(e.counts) != 1 {
-		t.Fatalf("%d links counted, want only 0->1", len(e.counts))
+	if links := 2; len(e.slots) > 2*links {
+		t.Fatalf("%d slots for %d observed links, want at most %d", len(e.slots), links, 2*links)
+	}
+}
+
+// mapLinkLoad is the map-backed LinkLoadEstimator the flat table
+// replaced, kept as the oracle the table's counts are checked against:
+// a count per observed link, halved every linkLoadDecay observations,
+// dropped once it decays to 0.
+type mapLinkLoad struct {
+	counts map[uint64]int
+	obs    int
+}
+
+func (e *mapLinkLoad) PathCost(p graph.Path) int {
+	if p.Hops() == 0 {
+		return 0
+	}
+	return e.counts[dirLinkKey(p[0], p[1])] * p.Hops()
+}
+
+func (e *mapLinkLoad) ObserveLink(u, v graph.NodeID) {
+	e.counts[dirLinkKey(u, v)]++
+	e.obs++
+	if e.obs < linkLoadDecay {
+		return
+	}
+	e.obs = 0
+	for k, n := range e.counts {
+		if n <= 1 {
+			delete(e.counts, k)
+		} else {
+			e.counts[k] = n / 2
+		}
+	}
+}
+
+// TestLinkLoadMatchesMapOracle drives the table and the map oracle with
+// one seeded sequence of observations over four decay periods — half on
+// eight hot links, whose counts climb into the thousands, half spread
+// over every directed link of 48 switches, so the table grows from 2 to
+// 8,192 slots and most links decay back to 0 — and requires equal prices at every
+// step: for the link just observed, for a random link, and after each
+// decay for every link.
+func TestLinkLoadMatchesMapOracle(t *testing.T) {
+	const nodes = 48
+	rng := xrand.New(11)
+	tab, ref := NewLinkLoadEstimator(), &mapLinkLoad{counts: map[uint64]int{}}
+	slots0 := len(tab.slots)
+	path := func(u, v graph.NodeID, hops int) graph.Path {
+		p := graph.Path{u, v}
+		for len(p) <= hops {
+			p = append(p, graph.NodeID(rng.IntN(nodes)))
+		}
+		return p[:hops+1]
+	}
+	same := func(step int, p graph.Path) {
+		t.Helper()
+		if got, want := tab.PathCost(p), ref.PathCost(p); got != want {
+			t.Fatalf("step %d: path %v costs %d, oracle %d", step, p, got, want)
+		}
+	}
+	randomLink := func() (graph.NodeID, graph.NodeID) {
+		u := rng.IntN(nodes)
+		return graph.NodeID(u), graph.NodeID(rng.IntNExcept(nodes, u))
+	}
+	for step := 1; step <= 4*linkLoadDecay; step++ {
+		u, v := randomLink()
+		if rng.IntN(2) == 0 {
+			u, v = graph.NodeID(rng.IntN(8)), graph.NodeID(8+rng.IntN(2))
+		}
+		tab.ObserveLink(u, v)
+		ref.ObserveLink(u, v)
+		same(step, path(u, v, 1+rng.IntN(5)))
+		a, b := randomLink()
+		same(step, path(a, b, rng.IntN(6)))
+		if step%linkLoadDecay != 0 {
+			continue
+		}
+		for a := graph.NodeID(0); a < nodes; a++ {
+			for b := graph.NodeID(0); b < nodes; b++ {
+				if a != b {
+					same(step, graph.Path{a, b})
+				}
+			}
+		}
+	}
+	t.Logf("%d slots (from %d) hold %d links, %d of them still counted", len(tab.slots), slots0, tab.used, len(ref.counts))
+	if len(tab.slots) <= slots0 || 2*tab.used > len(tab.slots) {
+		t.Fatalf("%d slots (from %d) hold %d links: want growth to at most half full", len(tab.slots), slots0, tab.used)
+	}
+	if tab.used <= len(ref.counts) {
+		t.Fatalf("no link decayed to 0: %d links held, %d counted", tab.used, len(ref.counts))
 	}
 }

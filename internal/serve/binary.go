@@ -313,6 +313,14 @@ func appendBatchEntries(dst []byte, entries []BatchEntry) ([]byte, error) {
 	return dst, nil
 }
 
+// batchEntries decodes a batch/sweep-chunk entry list into one
+// []BatchEntry, one []RouteResult for the routed entries and one node
+// arena holding every path, whatever the entry count (plus a string per
+// error entry). Each path is a capacity-capped window of the arena, so
+// appending to one path cannot overwrite the next. A first pass over a
+// copy of the reader validates the entries and sizes the routes and the
+// arena from bytes already present, so nothing is allocated ahead of a
+// bounds check; the second pass fills them.
 func (r *binReader) batchEntries() []BatchEntry {
 	n := int(r.u32())
 	// Each entry is at least 3 bytes (tag + empty code string), so the
@@ -320,20 +328,43 @@ func (r *binReader) batchEntries() []BatchEntry {
 	if !r.need(3 * n) {
 		return nil
 	}
-	entries := make([]BatchEntry, n)
-	for i := range entries {
-		switch r.u8() {
+	scan := *r
+	routed, nodes := 0, 0
+	for i := 0; i < n && scan.err == nil; i++ {
+		switch scan.u8() {
 		case 1:
-			entries[i].Route = r.routeResult()
+			k := int(scan.u16())
+			scan.view(4*k + 4) // the nodes and the index
+			routed++
+			nodes += k
 		case 0:
-			entries[i].Err = r.str()
+			scan.strView()
 		default:
-			r.fail()
-			return nil
+			scan.fail()
 		}
-		if r.err != nil {
-			return nil
+	}
+	if scan.err != nil {
+		*r = scan
+		return nil
+	}
+	entries := make([]BatchEntry, n)
+	routes := make([]RouteResult, routed)
+	arena := make([]int32, nodes)
+	for i := range entries {
+		if r.u8() == 0 {
+			entries[i].Err = r.str()
+			continue
 		}
+		k := int(r.u16())
+		path := arena[:k:k]
+		arena = arena[k:]
+		for j := range path {
+			path[j] = r.i32()
+		}
+		rr := &routes[0]
+		routes = routes[1:]
+		*rr = RouteResult{Path: path, Index: int(r.i32()), Hops: k - 1}
+		entries[i].Route = rr
 	}
 	return entries
 }

@@ -2,6 +2,7 @@ package serve_test
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/serve"
@@ -146,4 +147,87 @@ func histL1(a, b map[int]int) float64 {
 		}
 	}
 	return d
+}
+
+// TestConcurrentBatchObserve checks that no observation is lost or
+// misplaced when concurrent batches feed striped link-load estimators.
+// Four binary connections send routes-batch frames at once to a
+// 2-stripe topology, together staying under the 4,096 observations
+// after which a stripe's estimator halves its counts. Afterwards every
+// directed link's count, read on the stripe owning its source switch,
+// must equal the number of answered routes crossing it, and so the
+// counts sum to the answered routes' hops. Under make race-serve this
+// is also the race gate of the observation path.
+func TestConcurrentBatchObserve(t *testing.T) {
+	const conns, frames, batch = 4, 4, 128
+	srv, sock := startServer(t, serve.Options{Stripes: 2})
+	topo, err := srv.LoadTopology(serve.TopoParams{Topo: "small", Mechanism: "ksp-adaptive", Estimator: "link-load"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	answers := make([][]serve.BatchEntry, conns)
+	var wg sync.WaitGroup
+	for i := 0; i < conns; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			c, err := client.DialBinary(bg, "unix", sock)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer c.Close()
+			pairs := sweepPairs(uint64(i)+1, topo.Switches, frames*batch)
+			for f := 0; f < frames; f++ {
+				res, err := c.RoutesBatch(bg, topo.Key, pairs[f*batch:(f+1)*batch])
+				if err != nil || res.Routed != batch {
+					t.Errorf("connection %d frame %d: routed %d of %d: %v", i, f, res.Routed, batch, err)
+					return
+				}
+				answers[i] = append(answers[i], res.Entries...)
+			}
+		}(i)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	crossed := map[[2]int32]int{}
+	hops := 0
+	for _, entries := range answers {
+		for _, e := range entries {
+			p := e.Route.Path
+			for j := 0; j+1 < len(p); j++ {
+				crossed[[2]int32{p[j], p[j+1]}]++
+			}
+			hops += e.Route.Hops
+		}
+	}
+	var perStripe [2]int
+	sum := 0
+	for u := int32(0); u < int32(topo.Switches); u++ {
+		for v := int32(0); v < int32(topo.Switches); v++ {
+			if u == v {
+				continue
+			}
+			count, stripe, ok := srv.LinkLoad(topo.Key, u, v)
+			if !ok {
+				t.Fatal("topology is not served by a link-load estimator")
+			}
+			if want := crossed[[2]int32{u, v}]; count != want {
+				t.Errorf("link %d->%d counts %d on stripe %d, answered routes cross it %d times", u, v, count, stripe, want)
+			}
+			perStripe[stripe] += crossed[[2]int32{u, v}]
+			sum += count
+		}
+	}
+	for s, n := range perStripe {
+		if n >= 4096 {
+			t.Fatalf("stripe %d saw %d observations, past the 4,096 that trigger decay", s, n)
+		}
+	}
+	if sum != hops {
+		t.Fatalf("link counts sum to %d, answered routes have %d hops", sum, hops)
+	}
+	t.Logf("%d hops observed, %v per stripe", hops, perStripe)
 }
