@@ -7,6 +7,7 @@ import (
 	"repro/internal/jellyfish"
 	"repro/internal/ksp"
 	"repro/internal/model"
+	"repro/internal/paths"
 	"repro/internal/routing"
 	"repro/internal/stats"
 	"repro/internal/traffic"
@@ -65,16 +66,9 @@ func AblationKSweep(params jellyfish.Params, ks []int, sc Scale) (*KSweepResult,
 
 // Table renders the k sweep.
 func (r *KSweepResult) Table(title string) *stats.Table {
-	headers := append([]string{"k"}, r.Selectors...)
-	t := stats.NewTable(title, headers...)
-	for ki, k := range r.Ks {
-		row := []string{fmt.Sprintf("%d", k)}
-		for si := range r.Selectors {
-			row = append(row, fmt.Sprintf("%.3f", r.Mean[ki][si]))
-		}
-		t.AddRow(row...)
-	}
-	return t
+	return gridTable(title, "k", labels("%d", r.Ks), r.Selectors, func(ki, si int) string {
+		return fmt.Sprintf("%.3f", r.Mean[ki][si])
+	})
 }
 
 // BiasSweepResult holds saturation throughput versus UGAL MIN-bias:
@@ -103,54 +97,34 @@ func AblationUGALBias(params jellyfish.Params, biases []int, rates []float64, sc
 		Biases:     biases,
 		Mechanisms: []string{"UGAL", "KSP-UGAL"},
 	}
-	topo, err := sc.buildTopo(params, 0)
-	if err != nil {
-		return nil, err
-	}
-	numVC := sc.numVCs(topo)
 	// Vanilla UGAL detours at every bias.
-	reads, err := FlitConfig{Pattern: "permutation"}.reads(sc, topo, 0, 1, []routing.Mechanism{routing.VanillaUGAL()}, false)
-	if err != nil {
-		return nil, err
-	}
-	db, err := sc.pathDB(topo, ksp.REDKSP, 0, reads)
+	s, err := sc.sample(params, 0, true, []ksp.Algorithm{ksp.REDKSP}, func(topo *jellyfish.Topology, ti int) ([]paths.Pair, error) {
+		return FlitConfig{Pattern: "permutation"}.reads(sc, topo, ti, 1, []routing.Mechanism{routing.VanillaUGAL()}, false)
+	})
 	if err != nil {
 		return nil, err
 	}
 	sampler := traffic.NewFixedSampler(
-		traffic.RandomPermutation(topo.NumTerminals(), sc.patternSeed(0, 0)))
-	res.Sat = make([][]float64, len(biases))
-	for bi, bias := range biases {
-		res.Sat[bi] = make([]float64, 2)
-		for mi, mech := range []routing.Mechanism{
-			routing.VanillaUGALBiased(bias), routing.KSPUGALBiased(bias),
-		} {
-			base := flitsim.Config{
-				Topo:      topo,
-				Paths:     db,
-				Mechanism: mech,
-				Traffic:   sampler,
-				NumVCs:    numVC,
-				Seed:      xrand.Mix64(sc.Seed ^ uint64(bi)<<16 ^ uint64(mi)),
-			}
-			res.Sat[bi][mi] = saturationSeq(base, rates)
-		}
+		traffic.RandomPermutation(s.topo.NumTerminals(), sc.patternSeed(0, 0)))
+	// Job (bi, mi) is the saturation search of mechanism mi at bias bi.
+	biased := []func(int) routing.Mechanism{routing.VanillaUGALBiased, routing.KSPUGALBiased}
+	sat := newMeanGrid(len(biases), len(biased))
+	err = runJobs(jobGrid{len(biases), len(biased)}, sc.Workers, func(_ int, j []int) (float64, error) {
+		bi, mi := j[0], j[1]
+		return saturationSeq(s.flit(0, biased[mi](biases[bi]), sampler, xrand.Mix64(sc.Seed^uint64(bi)<<16^uint64(mi))), rates), nil
+	}, func(j []int, v float64) { sat.add(j[0], j[1], v) })
+	if err != nil {
+		return nil, err
 	}
+	res.Sat = sat.means()
 	return res, nil
 }
 
 // Table renders the bias sweep.
 func (r *BiasSweepResult) Table(title string) *stats.Table {
-	headers := append([]string{"MIN bias"}, r.Mechanisms...)
-	t := stats.NewTable(title, headers...)
-	for bi, b := range r.Biases {
-		row := []string{fmt.Sprintf("%d", b)}
-		for mi := range r.Mechanisms {
-			row = append(row, fmt.Sprintf("%.3f", r.Sat[bi][mi]))
-		}
-		t.AddRow(row...)
-	}
-	return t
+	return gridTable(title, "MIN bias", labels("%d", r.Biases), r.Mechanisms, func(bi, mi int) string {
+		return fmt.Sprintf("%.3f", r.Sat[bi][mi])
+	})
 }
 
 // LoadImbalanceResult holds per-selector link-load statistics for one
@@ -170,25 +144,21 @@ func LoadImbalance(params jellyfish.Params, sc Scale) (*LoadImbalanceResult, err
 	if err != nil {
 		return nil, err
 	}
-	topo, err := sc.buildTopo(params, 0)
+	var pat traffic.Pattern
+	s, err := sc.sample(params, 0, false, ksp.Algorithms, func(topo *jellyfish.Topology, _ int) ([]paths.Pair, error) {
+		pat = traffic.RandomShift(topo.NumTerminals(), sc.patternSeed(0, 0))
+		return patternReads(topo, pat), nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	pat := traffic.RandomShift(topo.NumTerminals(), sc.patternSeed(0, 0))
 	res := &LoadImbalanceResult{
 		Params:    params,
 		Pattern:   pat.Name,
 		Selectors: SelectorNames(false),
 	}
-	reads := newReadSet(topo, false)
-	reads.addPattern(pat)
-	prs := reads.pairs()
-	for _, alg := range ksp.Algorithms {
-		db, err := sc.pathDB(topo, alg, 0, prs)
-		if err != nil {
-			return nil, err
-		}
-		res.Stats = append(res.Stats, model.LoadImbalance(topo, db, pat, sc.Workers))
+	for _, db := range s.dbs {
+		res.Stats = append(res.Stats, model.LoadImbalance(s.topo, db, pat, sc.Workers))
 	}
 	return res, nil
 }

@@ -75,24 +75,19 @@ func FaultResilience(params jellyfish.Params, failedLinks []int, sc Scale) (*Fau
 			return nil, err
 		}
 	}
-	res.Survive = make([][]float64, len(failedLinks))
-	res.MeanSurvivingPaths = make([][]float64, len(failedLinks))
+	survive := newMeanGrid(len(failedLinks), len(ksp.Algorithms))
+	intact := newMeanGrid(len(failedLinks), len(ksp.Algorithms))
 	for fi, f := range failedLinks {
-		res.Survive[fi] = make([]float64, len(ksp.Algorithms))
-		res.MeanSurvivingPaths[fi] = make([]float64, len(ksp.Algorithms))
 		for trial := 0; trial < sc.Trials(); trial++ {
 			failed := failureSet(topo, f, xrand.NewPair(sc.Seed^uint64(fi)<<32, uint64(trial)))
 			for ai := range ksp.Algorithms {
 				alive, meanPaths := survival(dbs[ai], prs, failed, sc.Workers)
-				res.Survive[fi][ai] += alive
-				res.MeanSurvivingPaths[fi][ai] += meanPaths
+				survive.add(fi, ai, alive)
+				intact.add(fi, ai, meanPaths)
 			}
 		}
-		for ai := range ksp.Algorithms {
-			res.Survive[fi][ai] /= float64(sc.Trials())
-			res.MeanSurvivingPaths[fi][ai] /= float64(sc.Trials())
-		}
 	}
+	res.Survive, res.MeanSurvivingPaths = survive.means(), intact.means()
 	return res, nil
 }
 
@@ -154,16 +149,9 @@ func survival(db *paths.DB, prs []paths.Pair, failed map[uint64]struct{}, worker
 
 // Table renders the survival fractions.
 func (r *FaultResilienceResult) Table(title string) *stats.Table {
-	headers := append([]string{"Failed links"}, r.Selectors...)
-	t := stats.NewTable(title, headers...)
-	for fi, f := range r.FailedLinks {
-		row := []string{fmt.Sprintf("%d", f)}
-		for ai := range r.Selectors {
-			row = append(row, fmt.Sprintf("%.3f", r.Survive[fi][ai]))
-		}
-		t.AddRow(row...)
-	}
-	return t
+	return gridTable(title, "Failed links", labels("%d", r.FailedLinks), r.Selectors, func(fi, ai int) string {
+		return fmt.Sprintf("%.3f", r.Survive[fi][ai])
+	})
 }
 
 // FaultRunConfig parameterizes the dynamic fault-injection experiment: a
@@ -226,28 +214,15 @@ func FaultRun(cfg FaultRunConfig, sc Scale) (*FaultRunResult, error) {
 	res := &FaultRunResult{
 		Config:      cfg,
 		Selectors:   SelectorNames(false),
+		Mechanisms:  mechNames(mechs),
 		FailedLinks: cfg.FailedLinks,
 	}
-	for _, m := range mechs {
-		res.Mechanisms = append(res.Mechanisms, m.Name())
-	}
-
-	// Shared per-topology state: the topology, its VC count, one fault
-	// schedule per (pattern sample, failure count), and one path DB per
-	// selector.
-	topos := make([]*jellyfish.Topology, sc.TopoSamples)
-	numVCs := make([]int, sc.TopoSamples)
-	dbs := make([][]*paths.DB, sc.TopoSamples)
+	// Besides its DBs, which serve every failure count, each topology
+	// sample has one fault schedule per (pattern sample, failure count).
 	scheds := make([][][]*faults.Schedule, sc.TopoSamples)
-	for ti := 0; ti < sc.TopoSamples; ti++ {
-		topo, err := sc.buildTopo(cfg.Params, ti)
-		if err != nil {
-			return nil, err
-		}
-		topos[ti] = topo
-		numVCs[ti] = sc.numVCs(topo)
+	samples, err := sc.samples(cfg.Params, true, ksp.Algorithms, func(topo *jellyfish.Topology, ti int) ([]paths.Pair, error) {
 		scheds[ti] = make([][]*faults.Schedule, sc.PatternSamples)
-		for pi := 0; pi < sc.PatternSamples; pi++ {
+		for pi := range scheds[ti] {
 			scheds[ti][pi] = make([]*faults.Schedule, len(cfg.FailedLinks))
 			for fi, f := range cfg.FailedLinks {
 				if f > topo.G.NumEdges() {
@@ -261,98 +236,46 @@ func FaultRun(cfg FaultRunConfig, sc Scale) (*FaultRunResult, error) {
 				scheds[ti][pi][fi] = sched
 			}
 		}
-		// The DBs serve every failure count.
-		reads, err := FlitConfig{Pattern: cfg.Pattern}.reads(sc, topo, ti, sc.PatternSamples, mechs,
+		return FlitConfig{Pattern: cfg.Pattern}.reads(sc, topo, ti, sc.PatternSamples, mechs,
 			slices.Max(cfg.FailedLinks) > 0)
-		if err != nil {
-			return nil, err
-		}
-		dbs[ti] = make([]*paths.DB, len(ksp.Algorithms))
-		for ai, alg := range ksp.Algorithms {
-			if dbs[ti][ai], err = sc.pathDB(topo, alg, ti, reads); err != nil {
-				return nil, err
-			}
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
 
-	type job struct {
-		ti, pi, fi, ai, mi int
-	}
-	var jobs []job
-	for ti := 0; ti < sc.TopoSamples; ti++ {
-		for pi := 0; pi < sc.PatternSamples; pi++ {
-			for fi := range cfg.FailedLinks {
-				for ai := range ksp.Algorithms {
-					for mi := range mechs {
-						jobs = append(jobs, job{ti, pi, fi, ai, mi})
-					}
-				}
+	// Job (ti, pi, fi, ai, mi) runs selector ai under mechanism mi on
+	// pattern sample pi of topology sample ti with fi's failures. Row
+	// fi*selectors+ai of the means holds its (fi, ai) cells.
+	nA := len(ksp.Algorithms)
+	delivered := newMeanGrid(len(cfg.FailedLinks)*nA, len(mechs))
+	dropped := newMeanGrid(len(cfg.FailedLinks)*nA, len(mechs))
+	err = runJobs(jobGrid{sc.TopoSamples, sc.PatternSamples, len(cfg.FailedLinks), nA, len(mechs)}, sc.Workers,
+		func(_ int, j []int) (flitsim.Result, error) {
+			ti, pi, fi := j[0], j[1], j[2]
+			s := samples[ti]
+			sampler, _, err := samplerFor(cfg.Pattern, s.topo.NumTerminals(), sc.patternSeed(ti, pi))
+			if err != nil {
+				return flitsim.Result{}, err
 			}
-		}
-	}
-	delivered := make([]float64, len(jobs))
-	dropped := make([]float64, len(jobs))
-	errs := make([]error, len(jobs))
-	par.For(len(jobs), sc.Workers, func(i int) {
-		j := jobs[i]
-		topo := topos[j.ti]
-		sampler, _, err := samplerFor(cfg.Pattern, topo.NumTerminals(), sc.patternSeed(j.ti, j.pi))
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		sim, err := flitsim.NewSim(flitsim.Config{
-			Topo:          topo,
-			Paths:         dbs[j.ti][j.ai],
-			Mechanism:     mechs[j.mi],
-			Traffic:       sampler,
-			InjectionRate: cfg.InjectionRate,
-			NumVCs:        numVCs[j.ti],
-			Seed:          xrand.Mix64(sc.Seed ^ uint64(j.ti)<<32 ^ uint64(j.pi)<<16 ^ uint64(j.fi)),
-			Faults:        scheds[j.ti][j.pi][j.fi],
-			FaultPolicy:   cfg.Policy,
+			c := s.flit(j[3], mechs[j[4]], sampler, xrand.Mix64(sc.Seed^uint64(ti)<<32^uint64(pi)<<16^uint64(fi)))
+			c.InjectionRate, c.Faults, c.FaultPolicy = cfg.InjectionRate, scheds[ti][pi][fi], cfg.Policy
+			sim, err := flitsim.NewSim(c)
+			if err != nil {
+				return flitsim.Result{}, err
+			}
+			return sim.Run(), nil
+		}, func(j []int, r flitsim.Result) {
+			delivered.add(j[2]*nA+j[3], j[4], r.DeliveredRate)
+			dropped.add(j[2]*nA+j[3], j[4], float64(r.Dropped))
 		})
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		r := sim.Run()
-		delivered[i] = r.DeliveredRate
-		dropped[i] = float64(r.Dropped)
-	})
-	sums := make([][][]float64, len(cfg.FailedLinks))
-	drops := make([][][]float64, len(cfg.FailedLinks))
-	counts := make([][][]int, len(cfg.FailedLinks))
+	if err != nil {
+		return nil, err
+	}
+	d, dr := delivered.means(), dropped.means()
 	for fi := range cfg.FailedLinks {
-		sums[fi] = make([][]float64, len(ksp.Algorithms))
-		drops[fi] = make([][]float64, len(ksp.Algorithms))
-		counts[fi] = make([][]int, len(ksp.Algorithms))
-		for ai := range ksp.Algorithms {
-			sums[fi][ai] = make([]float64, len(mechs))
-			drops[fi][ai] = make([]float64, len(mechs))
-			counts[fi][ai] = make([]int, len(mechs))
-		}
-	}
-	for i, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-		j := jobs[i]
-		sums[j.fi][j.ai][j.mi] += delivered[i]
-		drops[j.fi][j.ai][j.mi] += dropped[i]
-		counts[j.fi][j.ai][j.mi]++
-	}
-	res.Delivered = sums
-	res.Dropped = drops
-	for fi := range sums {
-		for ai := range sums[fi] {
-			for mi := range sums[fi][ai] {
-				if n := counts[fi][ai][mi]; n > 0 {
-					res.Delivered[fi][ai][mi] /= float64(n)
-					res.Dropped[fi][ai][mi] /= float64(n)
-				}
-			}
-		}
+		lo, hi := fi*nA, (fi+1)*nA
+		res.Delivered = append(res.Delivered, d[lo:hi:hi])
+		res.Dropped = append(res.Dropped, dr[lo:hi:hi])
 	}
 	return res, nil
 }
@@ -360,16 +283,8 @@ func FaultRun(cfg FaultRunConfig, sc Scale) (*FaultRunResult, error) {
 // MechTable renders delivered throughput for one mechanism: one row per
 // failure count, one column per selector.
 func (r *FaultRunResult) MechTable(title string, mi int) *stats.Table {
-	headers := append([]string{"Failed links"}, r.Selectors...)
-	t := stats.NewTable(fmt.Sprintf("%s [%s]", title, r.Mechanisms[mi]), headers...)
-	for fi, f := range r.FailedLinks {
-		row := []string{fmt.Sprintf("%d", f)}
-		for ai := range r.Selectors {
-			row = append(row, fmt.Sprintf("%.3f", r.Delivered[fi][ai][mi]))
-		}
-		t.AddRow(row...)
-	}
-	return t
+	return gridTable(fmt.Sprintf("%s [%s]", title, r.Mechanisms[mi]), "Failed links", labels("%d", r.FailedLinks), r.Selectors,
+		func(fi, ai int) string { return fmt.Sprintf("%.3f", r.Delivered[fi][ai][mi]) })
 }
 
 // Tables renders one MechTable per mechanism.
@@ -383,14 +298,7 @@ func (r *FaultRunResult) Tables(title string) []*stats.Table {
 
 // PathsTable renders the mean surviving path counts.
 func (r *FaultResilienceResult) PathsTable(title string) *stats.Table {
-	headers := append([]string{"Failed links"}, r.Selectors...)
-	t := stats.NewTable(title, headers...)
-	for fi, f := range r.FailedLinks {
-		row := []string{fmt.Sprintf("%d", f)}
-		for ai := range r.Selectors {
-			row = append(row, fmt.Sprintf("%.2f", r.MeanSurvivingPaths[fi][ai]))
-		}
-		t.AddRow(row...)
-	}
-	return t
+	return gridTable(title, "Failed links", labels("%d", r.FailedLinks), r.Selectors, func(fi, ai int) string {
+		return fmt.Sprintf("%.2f", r.MeanSurvivingPaths[fi][ai])
+	})
 }

@@ -7,7 +7,6 @@ import (
 	"repro/internal/flitsim"
 	"repro/internal/jellyfish"
 	"repro/internal/ksp"
-	"repro/internal/par"
 	"repro/internal/paths"
 	"repro/internal/routing"
 	"repro/internal/stats"
@@ -85,92 +84,39 @@ func FlitSaturation(cfg FlitConfig, sc Scale) (*SaturationResult, error) {
 		return nil, err
 	}
 	mechs := routing.Mechanisms()
-	res := &SaturationResult{Config: cfg, Selectors: SelectorNames(false)}
-	for _, m := range mechs {
-		res.Mechanisms = append(res.Mechanisms, m.Name())
-	}
-
-	type job struct {
-		ti, pi, ai, mi int
-	}
-	var jobs []job
-	for ti := 0; ti < sc.TopoSamples; ti++ {
-		for pi := 0; pi < sc.PatternSamples; pi++ {
-			for ai := range ksp.Algorithms {
-				for mi := range mechs {
-					jobs = append(jobs, job{ti, pi, ai, mi})
-				}
-			}
-		}
-	}
-
-	// Shared per-topology state built once.
-	topos := make([]*jellyfish.Topology, sc.TopoSamples)
-	numVCs := make([]int, sc.TopoSamples)
-	dbs := make([][]*paths.DB, sc.TopoSamples)
-	for ti := 0; ti < sc.TopoSamples; ti++ {
-		topo, err := sc.buildTopo(cfg.Params, ti)
-		if err != nil {
-			return nil, err
-		}
-		topos[ti] = topo
-		numVCs[ti] = sc.numVCs(topo)
-		reads, err := cfg.reads(sc, topo, ti, sc.PatternSamples, mechs, false)
-		if err != nil {
-			return nil, err
-		}
-		dbs[ti] = make([]*paths.DB, len(ksp.Algorithms))
-		for ai, alg := range ksp.Algorithms {
-			if dbs[ti][ai], err = sc.pathDB(topo, alg, ti, reads); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	sums := make([][]float64, len(ksp.Algorithms))
-	counts := make([][]int, len(ksp.Algorithms))
-	for i := range sums {
-		sums[i] = make([]float64, len(mechs))
-		counts[i] = make([]int, len(mechs))
-	}
-	results := make([]float64, len(jobs))
-	errs := make([]error, len(jobs))
-	par.For(len(jobs), sc.Workers, func(i int) {
-		j := jobs[i]
-		topo := topos[j.ti]
-		sampler, _, err := samplerFor(cfg.Pattern, topo.NumTerminals(), sc.patternSeed(j.ti, j.pi))
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		base := flitsim.Config{
-			Topo:      topo,
-			Paths:     dbs[j.ti][j.ai],
-			Mechanism: mechs[j.mi],
-			Traffic:   sampler,
-			NumVCs:    numVCs[j.ti],
-			Seed:      xrand.Mix64(sc.Seed ^ uint64(i)<<16),
-		}
-		results[i] = saturationSeq(base, cfg.Rates)
+	res := &SaturationResult{Config: cfg, Selectors: SelectorNames(false), Mechanisms: mechNames(mechs)}
+	samples, err := sc.samples(cfg.Params, true, ksp.Algorithms, func(topo *jellyfish.Topology, ti int) ([]paths.Pair, error) {
+		return cfg.reads(sc, topo, ti, sc.PatternSamples, mechs, false)
 	})
-	for i, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-		j := jobs[i]
-		sums[j.ai][j.mi] += results[i]
-		counts[j.ai][j.mi]++
+	if err != nil {
+		return nil, err
 	}
-	res.Mean = make([][]float64, len(ksp.Algorithms))
-	for ai := range sums {
-		res.Mean[ai] = make([]float64, len(mechs))
-		for mi := range sums[ai] {
-			if counts[ai][mi] > 0 {
-				res.Mean[ai][mi] = sums[ai][mi] / float64(counts[ai][mi])
+	// Job i is the saturation search of selector ai under mechanism mi on
+	// pattern sample pi of topology sample ti, seeded by i.
+	mean := newMeanGrid(len(ksp.Algorithms), len(mechs))
+	err = runJobs(jobGrid{sc.TopoSamples, sc.PatternSamples, len(ksp.Algorithms), len(mechs)}, sc.Workers,
+		func(i int, j []int) (float64, error) {
+			s := samples[j[0]]
+			sampler, _, err := samplerFor(cfg.Pattern, s.topo.NumTerminals(), sc.patternSeed(j[0], j[1]))
+			if err != nil {
+				return 0, err
 			}
-		}
+			return saturationSeq(s.flit(j[2], mechs[j[3]], sampler, xrand.Mix64(sc.Seed^uint64(i)<<16)), cfg.Rates), nil
+		}, func(j []int, sat float64) { mean.add(j[2], j[3], sat) })
+	if err != nil {
+		return nil, err
 	}
+	res.Mean = mean.means()
 	return res, nil
+}
+
+// mechNames returns the names of mechs.
+func mechNames(mechs []routing.Mechanism) []string {
+	names := make([]string, len(mechs))
+	for i, m := range mechs {
+		names[i] = m.Name()
+	}
+	return names
 }
 
 // saturationSeq scans rates in ascending order and stops at the first
@@ -193,16 +139,9 @@ func saturationSeq(base flitsim.Config, rates []float64) float64 {
 
 // Table renders the figure data: selectors as rows, mechanisms as columns.
 func (r *SaturationResult) Table(title string) *stats.Table {
-	headers := append([]string{"Selector"}, r.Mechanisms...)
-	t := stats.NewTable(title, headers...)
-	for ai, sel := range r.Selectors {
-		row := []string{sel}
-		for mi := range r.Mechanisms {
-			row = append(row, fmt.Sprintf("%.3f", r.Mean[ai][mi]))
-		}
-		t.AddRow(row...)
-	}
-	return t
+	return gridTable(title, "Selector", r.Selectors, r.Mechanisms, func(ai, mi int) string {
+		return fmt.Sprintf("%.3f", r.Mean[ai][mi])
+	})
 }
 
 // CurveResult holds Figures 11-13 data: average packet latency versus
@@ -231,42 +170,25 @@ func FlitLatencyCurve(cfg FlitConfig, mech routing.Mechanism, sc Scale) (*CurveR
 		Rates:     cfg.Rates,
 		Latency:   make([][]float64, len(ksp.Algorithms)),
 	}
-	topo, err := sc.buildTopo(cfg.Params, 0)
+	s, err := sc.sample(cfg.Params, 0, true, ksp.Algorithms, func(topo *jellyfish.Topology, ti int) ([]paths.Pair, error) {
+		return cfg.reads(sc, topo, ti, 1, []routing.Mechanism{mech}, false)
+	})
 	if err != nil {
 		return nil, err
 	}
-	numVC := sc.numVCs(topo)
-	sampler, _, err := samplerFor(cfg.Pattern, topo.NumTerminals(), sc.patternSeed(0, 0))
+	sampler, _, err := samplerFor(cfg.Pattern, s.topo.NumTerminals(), sc.patternSeed(0, 0))
 	if err != nil {
 		return nil, err
 	}
-	reads, err := cfg.reads(sc, topo, 0, 1, []routing.Mechanism{mech}, false)
-	if err != nil {
-		return nil, err
-	}
-	for ai, alg := range ksp.Algorithms {
-		db, err := sc.pathDB(topo, alg, 0, reads)
-		if err != nil {
-			return nil, err
-		}
-		base := flitsim.Config{
-			Topo:      topo,
-			Paths:     db,
-			Mechanism: mech,
-			Traffic:   sampler,
-			NumVCs:    numVC,
-			Seed:      xrand.Mix64(sc.Seed ^ uint64(ai)<<24),
-		}
-		runs := flitsim.Sweep(base, cfg.Rates, sc.Workers)
-		series := make([]float64, len(runs))
+	for ai := range ksp.Algorithms {
+		runs := flitsim.Sweep(s.flit(ai, mech, sampler, xrand.Mix64(sc.Seed^uint64(ai)<<24)), cfg.Rates, sc.Workers)
+		res.Latency[ai] = make([]float64, len(runs))
 		for ri, r := range runs {
+			res.Latency[ai][ri] = r.AvgLatency
 			if r.Saturated {
-				series[ri] = math.NaN()
-			} else {
-				series[ri] = r.AvgLatency
+				res.Latency[ai][ri] = math.NaN()
 			}
 		}
-		res.Latency[ai] = series
 	}
 	return res, nil
 }
@@ -274,19 +196,10 @@ func FlitLatencyCurve(cfg FlitConfig, mech routing.Mechanism, sc Scale) (*CurveR
 // Table renders the curves: one row per load point, one column per
 // selector ("sat" marks saturated points).
 func (r *CurveResult) Table(title string) *stats.Table {
-	headers := append([]string{"Load"}, r.Selectors...)
-	t := stats.NewTable(title, headers...)
-	for ri, rate := range r.Rates {
-		row := []string{fmt.Sprintf("%.2f", rate)}
-		for ai := range r.Selectors {
-			v := r.Latency[ai][ri]
-			if math.IsNaN(v) {
-				row = append(row, "sat")
-			} else {
-				row = append(row, fmt.Sprintf("%.1f", v))
-			}
+	return gridTable(title, "Load", labels("%.2f", r.Rates), r.Selectors, func(ri, ai int) string {
+		if v := r.Latency[ai][ri]; !math.IsNaN(v) {
+			return fmt.Sprintf("%.1f", v)
 		}
-		t.AddRow(row...)
-	}
-	return t
+		return "sat"
+	})
 }

@@ -60,56 +60,30 @@ func ModelThroughput(cfg ModelConfig, sc Scale) (*ModelFigureResult, error) {
 		Patterns:  cfg.Patterns,
 		Selectors: SelectorNames(cfg.IncludeSP),
 	}
-	sums := make([][]float64, len(cfg.Patterns))
-	counts := make([][]int, len(cfg.Patterns))
-	for i := range sums {
-		sums[i] = make([]float64, len(res.Selectors))
-		counts[i] = make([]int, len(res.Selectors))
-	}
-
+	mean := newMeanGrid(len(cfg.Patterns), len(res.Selectors))
 	for ti := 0; ti < sc.TopoSamples; ti++ {
-		topo, err := sc.buildTopo(cfg.Params, ti)
-		if err != nil {
-			return nil, err
-		}
-		reads, err := cfg.reads(sc, topo, ti)
-		if err != nil {
-			return nil, err
-		}
 		// One DB per selector per topology sample: patterns share it.
-		dbs := make([]*paths.DB, len(ksp.Algorithms))
-		for ai, alg := range ksp.Algorithms {
-			if dbs[ai], err = sc.pathDB(topo, alg, ti, reads); err != nil {
-				return nil, err
-			}
+		s, err := sc.sample(cfg.Params, ti, false, ksp.Algorithms, func(topo *jellyfish.Topology, ti int) ([]paths.Pair, error) {
+			return cfg.reads(sc, topo, ti)
+		})
+		if err != nil {
+			return nil, err
 		}
-		err = cfg.eachPattern(sc, ti, topo.NumTerminals(), func(pi int, pat traffic.Pattern) {
+		err = cfg.eachPattern(sc, ti, s.topo.NumTerminals(), func(pi int, pat traffic.Pattern) {
 			col := 0
 			if cfg.IncludeSP {
-				r := model.SinglePath(topo, dbs[0], pat, sc.Workers)
-				sums[pi][0] += r.MeanNode
-				counts[pi][0]++
+				mean.add(pi, 0, model.SinglePath(s.topo, s.dbs[0], pat, sc.Workers).MeanNode)
 				col = 1
 			}
-			for ai := range ksp.Algorithms {
-				r := model.Throughput(topo, dbs[ai], pat, sc.Workers)
-				sums[pi][col+ai] += r.MeanNode
-				counts[pi][col+ai]++
+			for ai, db := range s.dbs {
+				mean.add(pi, col+ai, model.Throughput(s.topo, db, pat, sc.Workers).MeanNode)
 			}
 		})
 		if err != nil {
 			return nil, err
 		}
 	}
-	res.Mean = make([][]float64, len(cfg.Patterns))
-	for pi := range sums {
-		res.Mean[pi] = make([]float64, len(res.Selectors))
-		for si := range sums[pi] {
-			if counts[pi][si] > 0 {
-				res.Mean[pi][si] = sums[pi][si] / float64(counts[pi][si])
-			}
-		}
-	}
+	res.Mean = mean.means()
 	return res, nil
 }
 
@@ -155,14 +129,7 @@ func (cfg ModelConfig) reads(sc Scale, topo *jellyfish.Topology, ti int) ([]path
 // Table renders the figure's data as a table (patterns as rows, selectors
 // as columns), the textual equivalent of the paper's grouped bar charts.
 func (r *ModelFigureResult) Table(title string) *stats.Table {
-	headers := append([]string{"Pattern"}, r.Selectors...)
-	t := stats.NewTable(title, headers...)
-	for pi, pat := range r.Patterns {
-		row := []string{pat}
-		for si := range r.Selectors {
-			row = append(row, fmt.Sprintf("%.3f", r.Mean[pi][si]))
-		}
-		t.AddRow(row...)
-	}
-	return t
+	return gridTable(title, "Pattern", r.Patterns, r.Selectors, func(pi, si int) string {
+		return fmt.Sprintf("%.3f", r.Mean[pi][si])
+	})
 }

@@ -57,6 +57,15 @@ func (r *readSet) addPattern(pat traffic.Pattern) {
 	}
 }
 
+// patternReads returns the switch pairs at the ends of the flows of pats.
+func patternReads(topo *jellyfish.Topology, pats ...traffic.Pattern) []paths.Pair {
+	r := newReadSet(topo, false)
+	for _, pat := range pats {
+		r.addPattern(pat)
+	}
+	return r.pairs()
+}
+
 // addFlows marks the ends of every flow of a workload.
 func (r *readSet) addFlows(flows []traffic.SizedFlow) {
 	for _, f := range flows {

@@ -136,53 +136,30 @@ func PathProps(paramsList []jellyfish.Params, algs []ksp.Algorithm, sc Scale) (*
 	return res, nil
 }
 
-func (r *PathPropsResult) header() []string {
-	h := []string{"Topology"}
-	for _, a := range r.Algs {
-		h = append(h, fmt.Sprintf("%s(%d)", a, r.K))
+// table renders one path-quality metric: topologies as rows, selectors
+// as columns.
+func (r *PathPropsResult) table(title string, cell func(q paths.Quality) string) *stats.Table {
+	cols := make([]string, len(r.Algs))
+	for a, alg := range r.Algs {
+		cols[a] = fmt.Sprintf("%s(%d)", alg, r.K)
 	}
-	return h
+	return gridTable(fmt.Sprintf("%s (k = %d)", title, r.K), "Topology", labels("%v", r.Params), cols,
+		func(p, a int) string { return cell(r.Q[p][a]) })
 }
 
 // TableII renders the average path length table.
 func (r *PathPropsResult) TableII() *stats.Table {
-	t := stats.NewTable(fmt.Sprintf("Table II: Average path length (k = %d)", r.K), r.header()...)
-	for p, params := range r.Params {
-		row := []string{params.String()}
-		for a := range r.Algs {
-			row = append(row, fmt.Sprintf("%.2f", r.Q[p][a].AvgLen))
-		}
-		t.AddRow(row...)
-	}
-	return t
+	return r.table("Table II: Average path length", func(q paths.Quality) string { return fmt.Sprintf("%.2f", q.AvgLen) })
 }
 
 // TableIII renders the percent-disjoint-pairs table.
 func (r *PathPropsResult) TableIII() *stats.Table {
-	t := stats.NewTable(fmt.Sprintf(
-		"Table III: Percentage of switch pairs whose k paths do not share any link (k = %d)", r.K),
-		r.header()...)
-	for p, params := range r.Params {
-		row := []string{params.String()}
-		for a := range r.Algs {
-			row = append(row, fmt.Sprintf("%.0f%%", 100*r.Q[p][a].DisjointFraction))
-		}
-		t.AddRow(row...)
-	}
-	return t
+	return r.table("Table III: Percentage of switch pairs whose k paths do not share any link",
+		func(q paths.Quality) string { return fmt.Sprintf("%.0f%%", 100*q.DisjointFraction) })
 }
 
 // TableIV renders the maximum link-sharing table.
 func (r *PathPropsResult) TableIV() *stats.Table {
-	t := stats.NewTable(fmt.Sprintf(
-		"Table IV: Maximum number of times one link is shared by the k paths of one switch pair (k = %d)", r.K),
-		r.header()...)
-	for p, params := range r.Params {
-		row := []string{params.String()}
-		for a := range r.Algs {
-			row = append(row, fmt.Sprintf("%d", r.Q[p][a].MaxShare))
-		}
-		t.AddRow(row...)
-	}
-	return t
+	return r.table("Table IV: Maximum number of times one link is shared by the k paths of one switch pair",
+		func(q paths.Quality) string { return fmt.Sprintf("%d", q.MaxShare) })
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/flitsim"
 	"repro/internal/jellyfish"
 	"repro/internal/ksp"
+	"repro/internal/paths"
 	"repro/internal/routing"
 	"repro/internal/telemetry"
 	"repro/internal/traffic"
@@ -56,44 +57,29 @@ func FlitTelemetryRun(cfg FlitTelemetryConfig, sc Scale) (flitsim.Result, *telem
 	if cfg.Mechanism == nil {
 		cfg.Mechanism = routing.KSPAdaptive()
 	}
-	topo, err := sc.buildTopo(cfg.Params, 0)
-	if err != nil {
-		return zero, nil, telemetry.Manifest{}, err
-	}
-	sampler, _, err := samplerFor(cfg.Pattern, topo.NumTerminals(), sc.patternSeed(0, 0))
-	if err != nil {
-		return zero, nil, telemetry.Manifest{}, err
-	}
-	sched, err := faults.ParseSpec(cfg.FaultSpec, topo.G, sc.Seed)
-	if err != nil {
-		return zero, nil, telemetry.Manifest{}, err
-	}
 	policy, err := faults.PolicyByName(cfg.FaultPolicy)
 	if err != nil {
 		return zero, nil, telemetry.Manifest{}, err
 	}
-	numVC := sc.numVCs(topo)
-	reads, err := FlitConfig{Pattern: cfg.Pattern}.reads(sc, topo, 0, 1, []routing.Mechanism{cfg.Mechanism}, !sched.Empty())
+	var sched *faults.Schedule
+	s, err := sc.sample(cfg.Params, 0, true, []ksp.Algorithm{cfg.Selector}, func(topo *jellyfish.Topology, ti int) ([]paths.Pair, error) {
+		var err error
+		if sched, err = faults.ParseSpec(cfg.FaultSpec, topo.G, sc.Seed); err != nil {
+			return nil, err
+		}
+		return FlitConfig{Pattern: cfg.Pattern}.reads(sc, topo, ti, 1, []routing.Mechanism{cfg.Mechanism}, !sched.Empty())
+	})
 	if err != nil {
 		return zero, nil, telemetry.Manifest{}, err
 	}
-	db, err := sc.pathDB(topo, cfg.Selector, 0, reads)
+	sampler, _, err := samplerFor(cfg.Pattern, s.topo.NumTerminals(), sc.patternSeed(0, 0))
 	if err != nil {
 		return zero, nil, telemetry.Manifest{}, err
 	}
 	col := telemetry.NewCollector()
-	sim, err := flitsim.NewSim(flitsim.Config{
-		Topo:          topo,
-		Paths:         db,
-		Mechanism:     cfg.Mechanism,
-		Traffic:       sampler,
-		InjectionRate: cfg.Rate,
-		NumVCs:        numVC,
-		Seed:          xrand.Mix64(sc.Seed ^ 0x74656c),
-		Telemetry:     col,
-		Faults:        sched,
-		FaultPolicy:   policy,
-	})
+	c := s.flit(0, cfg.Mechanism, sampler, xrand.Mix64(sc.Seed^0x74656c))
+	c.InjectionRate, c.Telemetry, c.Faults, c.FaultPolicy = cfg.Rate, col, sched, policy
+	sim, err := flitsim.NewSim(c)
 	if err != nil {
 		return zero, nil, telemetry.Manifest{}, err
 	}
@@ -149,42 +135,35 @@ func AppTelemetryRun(cfg AppTelemetryConfig, sc Scale) (appsim.Result, *telemetr
 	if cfg.BytesPerRank == 0 {
 		cfg.BytesPerRank = traffic.DefaultTotalBytes
 	}
-	topo, err := sc.buildTopo(cfg.Params, 0)
-	if err != nil {
-		return zero, nil, telemetry.Manifest{}, err
-	}
-	nTerms := topo.NumTerminals()
-	var mapping traffic.Mapping
-	switch cfg.Mapping {
-	case "linear":
-		mapping = traffic.LinearMapping(nTerms)
-	case "random":
-		mapping = traffic.RandomMapping(nTerms, sc.patternSeed(0, 0))
-	default:
+	if cfg.Mapping != "linear" && cfg.Mapping != "random" {
 		return zero, nil, telemetry.Manifest{}, fmt.Errorf("exp: unknown mapping %q (want linear or random)", cfg.Mapping)
-	}
-	w := traffic.Stencil(traffic.StencilConfig{
-		Kind: cfg.Stencil, Ranks: nTerms, TotalBytes: cfg.BytesPerRank,
-	})
-	sched, err := faults.ParseSpec(cfg.FaultSpec, topo.G, sc.Seed)
-	if err != nil {
-		return zero, nil, telemetry.Manifest{}, err
 	}
 	policy, err := faults.PolicyByName(cfg.FaultPolicy)
 	if err != nil {
 		return zero, nil, telemetry.Manifest{}, err
 	}
-	flows := w.Apply(mapping)
-	reads := newReadSet(topo, readsAny([]routing.Mechanism{cfg.Mechanism}, !sched.Empty()))
-	reads.addFlows(flows)
-	db, err := sc.pathDB(topo, cfg.Selector, 0, reads.pairs())
+	// The replay is AppCommTimes' first: stencil 0 under mapping instance
+	// 0 on topology sample 0.
+	app := AppConfig{Mapping: cfg.Mapping, BytesPerRank: cfg.BytesPerRank, Stencils: []traffic.StencilKind{cfg.Stencil}}
+	var sched *faults.Schedule
+	var flows []traffic.SizedFlow
+	s, err := sc.sample(cfg.Params, 0, false, []ksp.Algorithm{cfg.Selector}, func(topo *jellyfish.Topology, ti int) ([]paths.Pair, error) {
+		var err error
+		if sched, err = faults.ParseSpec(cfg.FaultSpec, topo.G, sc.Seed); err != nil {
+			return nil, err
+		}
+		flows = app.flows(sc, ti, 0, 0, topo.NumTerminals())
+		r := newReadSet(topo, readsAny([]routing.Mechanism{cfg.Mechanism}, !sched.Empty()))
+		r.addFlows(flows)
+		return r.pairs(), nil
+	})
 	if err != nil {
 		return zero, nil, telemetry.Manifest{}, err
 	}
 	col := telemetry.NewCollector()
 	res, err := appsim.Run(appsim.Config{
-		Topo:        topo,
-		Paths:       db,
+		Topo:        s.topo,
+		Paths:       s.dbs[0],
 		Mechanism:   cfg.Mechanism,
 		Flows:       flows,
 		Seed:        xrand.Mix64(sc.Seed ^ 0x617070),

@@ -6,10 +6,10 @@ import (
 	"repro/internal/fairshare"
 	"repro/internal/jellyfish"
 	"repro/internal/ksp"
+	"repro/internal/model"
+	"repro/internal/paths"
 	"repro/internal/stats"
 	"repro/internal/traffic"
-
-	"repro/internal/model"
 )
 
 // ModelValidationResult compares the paper's Equation-1 throughput model
@@ -33,41 +33,36 @@ func ValidateModel(params jellyfish.Params, sc Scale) (*ModelValidationResult, e
 	if err != nil {
 		return nil, err
 	}
-	topo, err := sc.buildTopo(params, 0)
+	pats := make([]traffic.Pattern, sc.PatternSamples)
+	s, err := sc.sample(params, 0, false, ksp.Algorithms, func(topo *jellyfish.Topology, _ int) ([]paths.Pair, error) {
+		for inst := range pats {
+			pats[inst] = traffic.RandomShift(topo.NumTerminals(), sc.patternSeed(0, inst))
+		}
+		return patternReads(topo, pats...), nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	res := &ModelValidationResult{
-		Params:    params,
-		Pattern:   "shift",
-		Selectors: SelectorNames(false),
-		ModelMean: make([]float64, len(ksp.Algorithms)),
-		FairMean:  make([]float64, len(ksp.Algorithms)),
-	}
-	pats := make([]traffic.Pattern, sc.PatternSamples)
-	reads := newReadSet(topo, false)
-	for inst := range pats {
-		pats[inst] = traffic.RandomShift(topo.NumTerminals(), sc.patternSeed(0, inst))
-		reads.addPattern(pats[inst])
-	}
-	prs := reads.pairs()
-	for ai, alg := range ksp.Algorithms {
-		db, err := sc.pathDB(topo, alg, 0, prs)
-		if err != nil {
-			return nil, err
-		}
+	// Row 0 holds the model's means, row 1 the fair allocation's.
+	mean := newMeanGrid(2, len(ksp.Algorithms))
+	for ai, db := range s.dbs {
 		for _, pat := range pats {
-			res.ModelMean[ai] += model.Throughput(topo, db, pat, sc.Workers).MeanNode
-			alloc, err := fairshare.Compute(topo, db, pat)
+			mean.add(0, ai, model.Throughput(s.topo, db, pat, sc.Workers).MeanNode)
+			alloc, err := fairshare.Compute(s.topo, db, pat)
 			if err != nil {
 				return nil, err
 			}
-			res.FairMean[ai] += alloc.MeanNode
+			mean.add(1, ai, alloc.MeanNode)
 		}
-		res.ModelMean[ai] /= float64(sc.PatternSamples)
-		res.FairMean[ai] /= float64(sc.PatternSamples)
 	}
-	return res, nil
+	m := mean.means()
+	return &ModelValidationResult{
+		Params:    params,
+		Pattern:   "shift",
+		Selectors: SelectorNames(false),
+		ModelMean: m[0],
+		FairMean:  m[1],
+	}, nil
 }
 
 // Table renders the comparison with per-selector relative error.
