@@ -10,9 +10,8 @@
 // The pieces:
 //
 //   - Event / Schedule — a sorted list of timed link-down/link-up events on
-//     undirected edges, built from explicit scripts, seeded random edge
-//     sets (Random), or hot links observed by a telemetry.Collector
-//     (Targeted). Schedules serialize to a compact line-oriented text
+//     undirected edges, built from explicit scripts or seeded random edge
+//     sets (Random). Schedules serialize to a compact line-oriented text
 //     format (format.go) so a failure scenario can be archived and
 //     replayed bit-identically.
 //
@@ -32,7 +31,6 @@ import (
 	"sort"
 
 	"repro/internal/graph"
-	"repro/internal/telemetry"
 	"repro/internal/xrand"
 )
 
@@ -141,58 +139,6 @@ func Random(g *graph.Graph, n int, at int64, seed uint64) (*Schedule, error) {
 	for _, idx := range rng.SampleK(len(edges), n) {
 		e := edges[idx]
 		events = append(events, Event{At: at, U: e[0], V: e[1]})
-	}
-	return NewSchedule(events)
-}
-
-// Targeted builds a schedule failing the n hottest network links observed
-// by a populated telemetry.Collector at cycle at — the adversarial "kill
-// the busiest links" scenario. Parallel directed links collapse onto their
-// undirected edge (the hotter direction counts); ties break toward the
-// lower link index, so the result is deterministic for a given collector.
-func Targeted(col *telemetry.Collector, n int, at int64) (*Schedule, error) {
-	if col == nil || !col.Ready() {
-		return nil, fmt.Errorf("faults: Targeted needs a populated telemetry collector")
-	}
-	type hot struct {
-		u, v  graph.NodeID
-		flits int64
-	}
-	byEdge := make(map[uint64]*hot)
-	for i, li := range col.Links() {
-		if li.Kind != telemetry.KindNet {
-			continue
-		}
-		u, v := graph.NodeID(li.Src), graph.NodeID(li.Dst)
-		key := graph.UndirectedEdgeKey(u, v)
-		f := col.Forwarded.Get(i)
-		if h, ok := byEdge[key]; ok {
-			if f > h.flits {
-				h.flits = f
-			}
-			continue
-		}
-		byEdge[key] = &hot{u: min(u, v), v: max(u, v), flits: f}
-	}
-	hots := make([]*hot, 0, len(byEdge))
-	for _, h := range byEdge {
-		hots = append(hots, h)
-	}
-	if n < 0 || n > len(hots) {
-		return nil, fmt.Errorf("faults: cannot fail %d of %d observed links", n, len(hots))
-	}
-	sort.Slice(hots, func(i, j int) bool {
-		if hots[i].flits != hots[j].flits {
-			return hots[i].flits > hots[j].flits
-		}
-		if hots[i].u != hots[j].u {
-			return hots[i].u < hots[j].u
-		}
-		return hots[i].v < hots[j].v
-	})
-	events := make([]Event, 0, n)
-	for _, h := range hots[:n] {
-		events = append(events, Event{At: at, U: h.u, V: h.v})
 	}
 	return NewSchedule(events)
 }

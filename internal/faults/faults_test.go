@@ -7,7 +7,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/jellyfish"
 	"repro/internal/ksp"
-	"repro/internal/telemetry"
 	"repro/internal/xrand"
 )
 
@@ -89,39 +88,6 @@ func TestFaultRandomDeterministic(t *testing.T) {
 	}
 	if _, err := Random(g, 17, 0, 1); err == nil {
 		t.Fatal("failing more links than exist succeeded")
-	}
-}
-
-func TestFaultTargeted(t *testing.T) {
-	col := telemetry.NewCollector()
-	col.Init(telemetry.Config{Links: []telemetry.LinkInfo{
-		{Kind: telemetry.KindNet, Src: 0, Dst: 1},
-		{Kind: telemetry.KindNet, Src: 1, Dst: 0},
-		{Kind: telemetry.KindNet, Src: 1, Dst: 2},
-		{Kind: telemetry.KindNet, Src: 2, Dst: 1},
-		{Kind: telemetry.KindInject, Src: 0, Dst: 0},
-	}})
-	// Edge {1,2} is hotter (5 flits on its hottest direction) than {0,1}
-	// (3 flits); the injection link must be ignored.
-	for i := 0; i < 3; i++ {
-		col.CountForward(1)
-	}
-	for i := 0; i < 5; i++ {
-		col.CountForward(3)
-	}
-	for i := 0; i < 9; i++ {
-		col.CountForward(4)
-	}
-	s, err := Targeted(col, 1, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev := s.Events()
-	if len(ev) != 1 || ev[0].U != 1 || ev[0].V != 2 || ev[0].At != 500 {
-		t.Fatalf("Targeted picked %v, want down 500 1 2", ev)
-	}
-	if _, err := Targeted(telemetry.NewCollector(), 1, 0); err == nil {
-		t.Fatal("Targeted on uninitialized collector succeeded")
 	}
 }
 

@@ -1,66 +1,14 @@
-// Package stats provides the small statistical aggregation and report
-// formatting used by the experiment harness: summaries with confidence
-// intervals, and aligned-text / CSV table rendering for reproducing the
-// paper's tables and figure series.
+// Package stats provides the report formatting used by the experiment
+// harness: aligned-text / CSV table rendering and text bar charts for
+// reproducing the paper's tables and figure series, and the improvement
+// percentage Tables V and VI print. The harness (internal/exp) takes the
+// means itself.
 package stats
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"strings"
 )
-
-// Summary aggregates a sample of float64 observations.
-type Summary struct {
-	N         int
-	Mean, Std float64
-	Min, Max  float64
-	CI95      float64 // half-width of the 95% confidence interval
-	P50       float64
-}
-
-// Summarize computes a Summary. An empty input returns the zero Summary.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	s := Summary{N: len(xs), Min: xs[0], Max: xs[0]}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.Mean = sum / float64(len(xs))
-	if len(xs) > 1 {
-		var ss float64
-		for _, x := range xs {
-			d := x - s.Mean
-			ss += d * d
-		}
-		s.Std = math.Sqrt(ss / float64(len(xs)-1))
-		// Normal approximation: adequate for the >= 10-sample experiment
-		// repetitions used here.
-		s.CI95 = 1.96 * s.Std / math.Sqrt(float64(len(xs)))
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	mid := len(sorted) / 2
-	if len(sorted)%2 == 1 {
-		s.P50 = sorted[mid]
-	} else {
-		s.P50 = (sorted[mid-1] + sorted[mid]) / 2
-	}
-	return s
-}
-
-// Mean is a convenience for Summarize(xs).Mean.
-func Mean(xs []float64) float64 { return Summarize(xs).Mean }
 
 // Improvement returns the percentage by which newVal improves over
 // baseline when smaller is better (e.g. communication time):
