@@ -13,8 +13,11 @@
 package paths
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/ksp"
@@ -47,20 +50,22 @@ type DB struct {
 // (workers <= 0 selects the default pool) and packs them into a DB.
 // Duplicate pairs are computed once; self pairs are skipped, since Paths
 // and Lookup never return one.
+//
+// Pairs are computed in destination-major order, so a worker's
+// consecutive pairs mostly share their destination and its deterministic
+// searches reuse one goal-directed ball (see graph.SPEngine); pack
+// re-sorts the keys source-major.
 func Build(g *graph.Graph, cfg ksp.Config, seed uint64, pairs []Pair, workers int) *DB {
 	keys := make([]uint64, 0, len(pairs))
-	seen := make(map[uint64]struct{}, len(pairs))
 	for _, p := range pairs {
-		if p.Src == p.Dst {
-			continue
+		if p.Src != p.Dst {
+			keys = append(keys, pairKey(p.Src, p.Dst))
 		}
-		k := pairKey(p.Src, p.Dst)
-		if _, dup := seen[k]; dup {
-			continue
-		}
-		seen[k] = struct{}{}
-		keys = append(keys, k)
 	}
+	slices.SortFunc(keys, func(a, b uint64) int {
+		return cmp.Compare(bits.RotateLeft64(a, 32), bits.RotateLeft64(b, 32))
+	})
+	keys = slices.Compact(keys)
 	results := make([][]graph.Path, len(keys))
 	fallbacks := 0
 	par.MapReduce(len(keys), workers,
