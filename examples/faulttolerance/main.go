@@ -21,26 +21,38 @@ import (
 )
 
 func main() {
+	if err := run(); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run() error {
 	params := jellyfish.Params{N: 48, X: 18, Y: 12}
 	topo, err := jellyfish.New(params, xrand.New(2021))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Archive the exact instance, so the numbers below are tied to a
-	// reloadable artifact.
-	path := filepath.Join(os.TempDir(), "jellyfish-fault-demo.jf")
+	// reloadable artifact. The demo keeps it only while it runs.
+	dir, err := os.MkdirTemp("", "jellyfish-fault-demo-")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(dir)
+	path := filepath.Join(dir, "jellyfish-fault-demo.jf")
 	f, err := os.Create(path)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := topo.Write(f); err != nil {
-		log.Fatal(err)
+		f.Close()
+		return err
 	}
 	if err := f.Close(); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("archived %v (%d links) to %s\n\n", params, topo.G.NumEdges(), path)
+	fmt.Printf("archived %v (%d links) to %s\n\n", params, topo.G.NumEdges(), filepath.Base(path))
 
 	// How redundant is the raw topology? Max-flow says every pair has
 	// exactly y edge-disjoint paths.
@@ -64,7 +76,7 @@ func main() {
 		PatternSamples: 5, // failure-set trials
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Println(res.Table("Fraction of pairs with at least one surviving path").String())
 	fmt.Println(res.PathsTable("Mean surviving paths per pair (of k=8)").String())
@@ -88,6 +100,7 @@ func main() {
 	}
 	fmt.Printf("worst sampled KSP pair %d->%d: one link failure can kill %d of its 8 paths at once\n",
 		worstPair[0], worstPair[1], worst)
+	return nil
 }
 
 func maxShare(ps []graph.Path) int {
