@@ -145,6 +145,7 @@ cmd/testdata/jfflit-latency.txt jfflit -experiment latency -rate-start 0.1 -rate
 cmd/testdata/jfflit-saturation.txt jfflit -experiment saturation -pattern-samples 1 -rate-start 0.3 -rate-stop 0.6 -rate-step 0.3
 cmd/testdata/jfapp-linear.txt jfapp -mapping linear -bytes-per-rank 1500000
 cmd/testdata/jfapp-random.txt jfapp -mapping random -bytes-per-rank 1500000
+cmd/testdata/jftopo.txt jftopo -topo small -metrics -bisection 20 -disjoint 8,16 -pairs 0
 endef
 export CLI_RUNS
 
