@@ -8,10 +8,6 @@
 // communication time of rEDKSP(k) alongside KSP(k) and rKSP(k) with
 // improvement percentages, exactly as the paper lays the tables out.
 //
-// jfapp can also emit the synthetic DUMPI-style traces it simulates:
-//
-//	jfapp -dump-traces dir/ -topo medium
-//
 // With -telemetry it runs one instrumented replay of a single stencil and
 // exports per-link counters, path-choice counters and injection-stall
 // counters (see docs/TELEMETRY.md):
@@ -23,11 +19,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"repro/internal/cliflags"
-	"repro/internal/dumpi"
 	"repro/internal/exp"
 	"repro/internal/jellyfish"
 	"repro/internal/ksp"
@@ -48,7 +42,6 @@ func main() {
 		seed         = flag.Uint64("seed", 1, "experiment seed")
 		workers      = flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
 		csv          = flag.Bool("csv", false, "emit CSV instead of aligned text")
-		dumpTraces   = flag.String("dump-traces", "", "write the synthetic DUMPI traces to this directory and exit")
 		tel          = cliflags.TelemetryFlags("one instrumented replay (first of -stencils, default 2DNN)")
 		faultFlags   = cliflags.FaultFlags()
 		pathCache    = cliflags.PathCache()
@@ -69,29 +62,6 @@ func main() {
 	params, err := jellyfish.ByName(*topoName)
 	if err != nil {
 		fatal(err)
-	}
-	nTerms := params.N * (params.X - params.Y)
-
-	if *dumpTraces != "" {
-		if err := os.MkdirAll(*dumpTraces, 0o755); err != nil {
-			fatal(err)
-		}
-		for _, kind := range traffic.StencilKinds {
-			tr := dumpi.Generate(kind, nTerms, *bytesPerRank)
-			path := filepath.Join(*dumpTraces, fmt.Sprintf("%s-%d.trace", kind, nTerms))
-			f, err := os.Create(path)
-			if err != nil {
-				fatal(err)
-			}
-			if err := tr.Write(f); err != nil {
-				fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
-			fmt.Println("wrote", path)
-		}
-		return
 	}
 
 	mech, err := routing.ByName(*mechanism)

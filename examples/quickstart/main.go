@@ -41,7 +41,7 @@ func main() {
 	}
 
 	// Path quality: with rEDKSP every pair's paths are link-disjoint.
-	q := paths.Analyze(topo.G, db.Config(), seed, paths.AllOrderedPairs(topo.N), 0)
+	q := paths.AnalyzeDB(db, paths.AllOrderedPairs(topo.N), 0)
 	fmt.Printf("\npath quality over %d pairs: avg length %.2f, %.0f%% disjoint pairs, max link sharing %d\n",
 		q.Pairs, q.AvgLen, 100*q.DisjointFraction, q.MaxShare)
 

@@ -1,9 +1,9 @@
 // Stencil is a miniature version of the paper's CODES study (Tables V and
-// VI): it generates synthetic DUMPI-style traces for the four stencil
-// workloads, replays them over one Jellyfish with KSP(8), rKSP(8) and
-// rEDKSP(8) paths under KSP-adaptive routing, and prints the communication
-// times with rEDKSP's improvement — for both linear and random
-// process-to-node mappings.
+// VI): it builds the four stencil workloads as rank-level sized sends,
+// replays them over one Jellyfish with KSP(8), rKSP(8) and rEDKSP(8)
+// paths under KSP-adaptive routing, and prints the communication times
+// with rEDKSP's improvement — for both linear and random process-to-node
+// mappings.
 package main
 
 import (
@@ -11,7 +11,6 @@ import (
 	"log"
 
 	"repro/internal/appsim"
-	"repro/internal/dumpi"
 	"repro/internal/jellyfish"
 	"repro/internal/ksp"
 	"repro/internal/paths"
@@ -44,10 +43,10 @@ func main() {
 				mapping, params, bytesPerRank),
 			"Application", "rEDKSP(8)", "KSP(8)", "imp.", "rKSP(8)", "imp.")
 		for _, kind := range traffic.StencilKinds {
-			// A synthetic DUMPI-style trace (the stand-in for the paper's
-			// SST/DUMPI captures), reduced to rank-level sized sends.
-			trace := dumpi.Generate(kind, nTerms, bytesPerRank)
-			w := trace.Workload()
+			// The paper takes only the stencil pattern and the per-rank
+			// volume from its SST/DUMPI traces; traffic.Stencil builds
+			// both.
+			w := traffic.Stencil(traffic.StencilConfig{Kind: kind, Ranks: nTerms, TotalBytes: bytesPerRank})
 
 			var m traffic.Mapping
 			if mapping == "linear" {

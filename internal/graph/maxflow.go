@@ -3,8 +3,8 @@ package graph
 // MaxEdgeDisjointPaths returns the maximum number of pairwise edge-disjoint
 // paths between src and dst: by Menger's theorem, the value of a maximum
 // flow with unit capacity on every undirected edge. It is the exact upper
-// bound against which the greedy Remove-Find method (ksp.EDKSP) can be
-// verified, and is used by the test suite for exactly that.
+// bound the greedy Remove-Find method (ksp.EDKSP) is tested against, and
+// exp.DisjointExistence counts with it the pairs that admit k such paths.
 //
 // The implementation is Edmonds-Karp specialized to unit capacities on an
 // undirected graph: each undirected edge {u, v} becomes a pair of directed
@@ -65,82 +65,6 @@ func MaxEdgeDisjointPaths(g *Graph, src, dst NodeID) int {
 			resid[id]--
 			resid[g.rev[id]]++
 			v = g.owner[id]
-		}
-		flow++
-	}
-}
-
-// MaxNodeDisjointPaths returns the maximum number of internally
-// node-disjoint src→dst paths (paths sharing no intermediate node), via
-// the standard node-splitting reduction run as unit-capacity max flow.
-// Directly adjacent endpoints contribute one path through the direct edge.
-func MaxNodeDisjointPaths(g *Graph, src, dst NodeID) int {
-	if src == dst {
-		return 0
-	}
-	n := g.NumNodes()
-	// Node splitting: node u becomes u_in (2u) and u_out (2u+1) with a
-	// unit arc u_in→u_out; each edge {u,v} becomes u_out→v_in and
-	// v_out→u_in. src and dst have infinite node capacity.
-	type arc struct {
-		to  int32
-		cap int8
-		rev int32 // index of reverse arc in adj[to]
-	}
-	adj := make([][]arc, 2*n)
-	addArc := func(from, to int32, cap int8) {
-		adj[from] = append(adj[from], arc{to: to, cap: cap, rev: int32(len(adj[to]))})
-		adj[to] = append(adj[to], arc{to: from, cap: 0, rev: int32(len(adj[from]) - 1)})
-	}
-	in := func(u NodeID) int32 { return int32(2 * u) }
-	out := func(u NodeID) int32 { return int32(2*u + 1) }
-	for u := NodeID(0); int(u) < n; u++ {
-		cap := int8(1)
-		if u == src || u == dst {
-			cap = 127
-		}
-		addArc(in(u), out(u), cap)
-		for _, v := range g.Neighbors(u) {
-			addArc(out(u), in(v), 1)
-		}
-	}
-	// Edmonds-Karp on the split graph.
-	source, sink := out(src), in(dst)
-	parentNode := make([]int32, 2*n)
-	parentArc := make([]int32, 2*n)
-	flow := 0
-	for {
-		for i := range parentNode {
-			parentNode[i] = -1
-		}
-		parentNode[source] = source
-		queue := []int32{source}
-		found := false
-	bfs:
-		for qi := 0; qi < len(queue); qi++ {
-			u := queue[qi]
-			for ai, a := range adj[u] {
-				if a.cap <= 0 || parentNode[a.to] >= 0 {
-					continue
-				}
-				parentNode[a.to] = u
-				parentArc[a.to] = int32(ai)
-				if a.to == sink {
-					found = true
-					break bfs
-				}
-				queue = append(queue, a.to)
-			}
-		}
-		if !found {
-			return flow
-		}
-		for v := sink; v != source; {
-			u := parentNode[v]
-			a := &adj[u][parentArc[v]]
-			a.cap--
-			adj[v][a.rev].cap++
-			v = u
 		}
 		flow++
 	}

@@ -72,37 +72,6 @@ func TestMaxEdgeDisjointSymmetric(t *testing.T) {
 	}
 }
 
-func TestMaxNodeDisjointBasics(t *testing.T) {
-	// Cycle: exactly 2 node-disjoint paths between opposite nodes.
-	if got := MaxNodeDisjointPaths(cycle(6), 0, 3); got != 2 {
-		t.Fatalf("cycle node-disjoint = %d, want 2", got)
-	}
-	// Line: 1.
-	if got := MaxNodeDisjointPaths(line(5), 0, 4); got != 1 {
-		t.Fatalf("line node-disjoint = %d, want 1", got)
-	}
-	// K5: direct edge + 3 two-hop paths = 4.
-	if got := MaxNodeDisjointPaths(complete(5), 0, 4); got != 4 {
-		t.Fatalf("K5 node-disjoint = %d, want 4", got)
-	}
-}
-
-func TestNodeDisjointAtMostEdgeDisjoint(t *testing.T) {
-	g := randomGraph(xrand.New(23), 28, 0.2)
-	for s := NodeID(0); s < 28; s += 4 {
-		for d := NodeID(1); d < 28; d += 5 {
-			if s == d {
-				continue
-			}
-			nd := MaxNodeDisjointPaths(g, s, d)
-			ed := MaxEdgeDisjointPaths(g, s, d)
-			if nd > ed {
-				t.Fatalf("%d->%d: node-disjoint %d > edge-disjoint %d", s, d, nd, ed)
-			}
-		}
-	}
-}
-
 func TestBisectionCycle(t *testing.T) {
 	// A cycle's bisection width is exactly 2.
 	if got := BisectionEstimate(cycle(16), 20, 1, 2); got != 2 {

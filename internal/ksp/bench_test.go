@@ -14,7 +14,7 @@ var benchSink []graph.Path
 // pair per op, cycling through a fixed sample of 256 pairs and reseeding
 // the computer per pair as paths.DB does. ns/op is the time to select one
 // pair's set and allocs/op its allocations. jfbench's paths-medium times
-// only KSP and rEDKSP; this covers the other five selectors too.
+// only KSP and rEDKSP; this covers the other two selectors too.
 //
 //	go test ./internal/ksp -run '^$' -bench Selectors -benchmem -count 5
 func BenchmarkSelectors(b *testing.B) {
@@ -23,7 +23,7 @@ func BenchmarkSelectors(b *testing.B) {
 		b.Fatal(err)
 	}
 	pairs := goldenPairs(topo.G.NumNodes(), 256)
-	for _, alg := range goldenSelectors {
+	for _, alg := range Algorithms {
 		b.Run(alg.String(), func(b *testing.B) {
 			seed := goldenSeed(alg)
 			c := NewComputer(topo.G, Config{Alg: alg, K: 8}, xrand.New(seed))

@@ -20,10 +20,6 @@ var update = flag.Bool("update", false, "rewrite testdata/selectors_golden.json"
 
 const selectorsGoldenFile = "testdata/selectors_golden.json"
 
-// goldenSelectors are every selector the package implements, in the order
-// the golden lists them.
-var goldenSelectors = []Algorithm{KSP, RKSP, EDKSP, REDKSP, NDKSP, RNDKSP, LLSKR}
-
 // goldenGraph is one topology the selector golden samples pairs on.
 type goldenGraph struct {
 	name  string
@@ -32,7 +28,7 @@ type goldenGraph struct {
 }
 
 // goldenGraphs: the paper's medium Jellyfish, and a degree-4 RRG on which
-// no pair has 8 edge-disjoint paths, so every EDKSP and NDKSP pair takes
+// no pair has 8 edge-disjoint paths, so every EDKSP and rEDKSP pair takes
 // the Yen top-up fallback.
 var goldenGraphs = []goldenGraph{
 	{"RRG(720,24,19)", jellyfish.Medium, 150},
@@ -99,7 +95,7 @@ func digestSelector(g *graph.Graph, alg Algorithm, pairs [][2]graph.NodeID) sele
 }
 
 // TestSelectorGolden pins the exact path sets and per-pair RNG use of all
-// seven selectors at k=8 on sampled pairs of two topologies. Engine or
+// four selectors at k=8 on sampled pairs of two topologies. Engine or
 // selector speedups must leave every digest unchanged; a change that
 // chooses different paths is a new selector. Regenerate with
 // `go test ./internal/ksp -run SelectorGolden -update` only when a
@@ -112,11 +108,11 @@ func TestSelectorGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		pairs := goldenPairs(topo.G.NumNodes(), gg.pairs)
-		for _, alg := range goldenSelectors {
+		for _, alg := range Algorithms {
 			got[gg.name+"/"+alg.String()] = digestSelector(topo.G, alg, pairs)
 		}
 	}
-	for _, alg := range []Algorithm{EDKSP, NDKSP} {
+	for _, alg := range []Algorithm{EDKSP, REDKSP} {
 		if key := "RRG(40,8,4)/" + alg.String(); got[key].Fallbacks == 0 {
 			t.Errorf("%s: no pair took the Yen top-up fallback", key)
 		}

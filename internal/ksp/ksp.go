@@ -9,10 +9,7 @@
 //     Kuipers and Van Mieghem: find a shortest path, remove its edges,
 //     repeat;
 //   - rEDKSP  — Remove-Find driven by the randomized shortest-path search,
-//     the paper's best performing selector;
-//   - LLSKR   — the Limited Length Spread k-shortest Path Routing of Yuan
-//     et al. (SC'13), included as the related-work baseline the paper
-//     discusses.
+//     the paper's best performing selector.
 //
 // All schemes are exposed through Computer, a per-worker object that owns
 // reusable search engines so all-pairs computations over hundreds of
@@ -38,8 +35,6 @@ const (
 	EDKSP
 	// REDKSP is randomized Remove-Find (the paper's rEDKSP).
 	REDKSP
-	// LLSKR is Limited Length Spread k-shortest path routing.
-	LLSKR
 )
 
 // Algorithms lists the paper's four selectors in presentation order.
@@ -56,12 +51,6 @@ func (a Algorithm) String() string {
 		return "EDKSP"
 	case REDKSP:
 		return "rEDKSP"
-	case LLSKR:
-		return "LLSKR"
-	case NDKSP:
-		return "NDKSP"
-	case RNDKSP:
-		return "rNDKSP"
 	}
 	return fmt.Sprintf("Algorithm(%d)", int(a))
 }
@@ -77,38 +66,23 @@ func ByName(name string) (Algorithm, error) {
 		return EDKSP, nil
 	case "redksp", "rEDKSP":
 		return REDKSP, nil
-	case "llskr", "LLSKR":
-		return LLSKR, nil
-	case "ndksp", "NDKSP":
-		return NDKSP, nil
-	case "rndksp", "rNDKSP":
-		return RNDKSP, nil
 	}
 	return 0, fmt.Errorf("ksp: unknown algorithm %q", name)
 }
 
 // Randomized reports whether the algorithm uses randomized tie-breaking.
-func (a Algorithm) Randomized() bool { return a == RKSP || a == REDKSP || a == RNDKSP }
+func (a Algorithm) Randomized() bool { return a == RKSP || a == REDKSP }
 
 // EdgeDisjoint reports whether the algorithm guarantees edge-disjoint paths
-// (up to the disjoint-exhaustion fallback). Node-disjoint paths are a
-// fortiori edge-disjoint.
-func (a Algorithm) EdgeDisjoint() bool {
-	return a == EDKSP || a == REDKSP || a.nodeDisjoint()
-}
+// (up to the disjoint-exhaustion fallback).
+func (a Algorithm) EdgeDisjoint() bool { return a == EDKSP || a == REDKSP }
 
 // Config parameterizes path computation.
 type Config struct {
 	// Alg selects the scheme.
 	Alg Algorithm
-	// K is the number of paths per pair (for LLSKR, the maximum).
+	// K is the number of paths per pair.
 	K int
-	// LLSKRSpread is the extra hop budget over the shortest path length
-	// within which LLSKR admits paths (default 1 when zero).
-	LLSKRSpread int
-	// LLSKRMin is the minimum number of paths LLSKR keeps even if they
-	// exceed the length budget (default 2 when zero).
-	LLSKRMin int
 	// DisableEDFallback, when set, lets EDKSP/rEDKSP return fewer than K
 	// paths once the source and destination disconnect instead of topping
 	// up with Yen paths. The paper observes the fallback is never needed
@@ -120,30 +94,17 @@ type Config struct {
 // Canonical renders the configuration as the canonical string used to
 // derive path-cache keys (see internal/paths): two Configs map to the
 // same string exactly when they select identical path sets on every
-// graph. LLSKR's zero-value defaults are normalized, and the LLSKR knobs
-// are omitted for the other algorithms, which ignore them.
+// graph. The "spread=0 min=0" words are constant; they stay in the
+// string so existing path-cache keys and jfserve topology keys keep
+// their values.
 func (c Config) Canonical() string {
-	spread, minPaths := 0, 0
-	if c.Alg == LLSKR {
-		spread = c.LLSKRSpread
-		if spread == 0 {
-			spread = 1
-		}
-		minPaths = c.LLSKRMin
-		if minPaths == 0 {
-			minPaths = 2
-		}
-		if minPaths > c.K {
-			minPaths = c.K
-		}
-	}
-	return fmt.Sprintf("alg=%s k=%d spread=%d min=%d nofb=%t",
-		c.Alg, c.K, spread, minPaths, c.DisableEDFallback)
+	return fmt.Sprintf("alg=%s k=%d spread=0 min=0 nofb=%t",
+		c.Alg, c.K, c.DisableEDFallback)
 }
 
 // Computer computes path sets for one graph under one Config. It is not
 // safe for concurrent use; parallel workers each create their own Computer
-// over the shared graph (see paths.BuildDB).
+// over the shared graph (see paths.Build).
 type Computer struct {
 	cfg Config
 	g   *graph.Graph
@@ -216,10 +177,6 @@ func (c *Computer) Paths(src, dst graph.NodeID) []graph.Path {
 		return c.yen(src, dst, c.cfg.K)
 	case EDKSP, REDKSP:
 		return c.removeFind(src, dst)
-	case NDKSP, RNDKSP:
-		return c.removeFindNodes(src, dst)
-	case LLSKR:
-		return c.llskr(src, dst)
 	}
 	panic(fmt.Sprintf("ksp: unknown algorithm %v", c.cfg.Alg))
 }
@@ -353,42 +310,6 @@ func (c *Computer) removeFind(src, dst graph.NodeID) []graph.Path {
 	}
 	sortByHops(out)
 	return out
-}
-
-// llskr approximates LLSKR (Yuan et al., SC'13): admit every Yen path whose
-// length is within LLSKRSpread hops of the shortest, capped at K paths and
-// floored at LLSKRMin paths.
-func (c *Computer) llskr(src, dst graph.NodeID) []graph.Path {
-	spread := c.cfg.LLSKRSpread
-	if spread == 0 {
-		spread = 1
-	}
-	minPaths := c.cfg.LLSKRMin
-	if minPaths == 0 {
-		minPaths = 2
-	}
-	if minPaths > c.cfg.K {
-		minPaths = c.cfg.K
-	}
-	all := c.yen(src, dst, c.cfg.K)
-	if len(all) == 0 {
-		return nil
-	}
-	budget := all[0].Hops() + spread
-	keep := len(all)
-	for i, p := range all {
-		if p.Hops() > budget {
-			keep = i
-			break
-		}
-	}
-	if keep < minPaths {
-		keep = minPaths
-		if keep > len(all) {
-			keep = len(all)
-		}
-	}
-	return all[:keep]
 }
 
 // pathKey serializes a path into a map key.

@@ -184,7 +184,7 @@ func smallJellyfish(t *testing.T, seed uint64) *graph.Graph {
 func TestSelectorsPropertyOnJellyfish(t *testing.T) {
 	g := smallJellyfish(t, 1)
 	eng := graph.NewSPEngine(g, graph.TieDeterministic, nil)
-	for _, alg := range []Algorithm{KSP, RKSP, EDKSP, REDKSP, LLSKR} {
+	for _, alg := range Algorithms {
 		c := NewComputer(g, Config{Alg: alg, K: 4}, xrand.New(9))
 		for src := graph.NodeID(0); src < 24; src += 5 {
 			for dst := graph.NodeID(0); dst < 24; dst += 7 {
@@ -313,35 +313,42 @@ func TestEDKSPNoFallbackOnJellyfish(t *testing.T) {
 	}
 }
 
-func TestLLSKRLengthBudget(t *testing.T) {
-	g := figure3()
-	// Shortest is 3 hops; spread 1 admits the six 4-hop paths, capped by K.
-	c := NewComputer(g, Config{Alg: LLSKR, K: 10, LLSKRSpread: 1, LLSKRMin: 2}, nil)
-	paths := c.Paths(s1, d1)
-	if len(paths) != 7 {
-		t.Fatalf("got %d paths, want 7 (1 three-hop + 6 four-hop)", len(paths))
-	}
-	for _, p := range paths {
-		if p.Hops() > 4 {
-			t.Fatalf("path over budget: %v", p)
+// --- Menger cross-checks: the greedy Remove-Find result never exceeds the
+// max-flow optimum, and on Jellyfish with k <= y it achieves exactly k.
+
+func TestEDKSPNeverExceedsMaxFlow(t *testing.T) {
+	g := smallJellyfish(t, 6)
+	c := NewComputer(g, Config{Alg: EDKSP, K: 16, DisableEDFallback: true}, nil)
+	for src := graph.NodeID(0); src < 24; src += 3 {
+		for dst := graph.NodeID(0); dst < 24; dst += 7 {
+			if src == dst {
+				continue
+			}
+			got := len(c.Paths(src, dst))
+			max := graph.MaxEdgeDisjointPaths(g, src, dst)
+			if got > max {
+				t.Fatalf("%d->%d: Remove-Find found %d disjoint paths, max-flow says %d",
+					src, dst, got, max)
+			}
 		}
 	}
-	// Spread 0 keeps only the shortest... but the floor of 2 wins.
-	c = NewComputer(g, Config{Alg: LLSKR, K: 10, LLSKRSpread: -1, LLSKRMin: 2}, nil)
-	_ = c
 }
 
-func TestLLSKRMinFloor(t *testing.T) {
-	// On a long line there is exactly one path; the floor cannot create
-	// paths that do not exist.
-	b := graph.NewBuilder(4)
-	b.AddEdge(0, 1)
-	b.AddEdge(1, 2)
-	b.AddEdge(2, 3)
-	c := NewComputer(b.Graph(), Config{Alg: LLSKR, K: 8}, nil)
-	paths := c.Paths(0, 3)
-	if len(paths) != 1 {
-		t.Fatalf("line graph produced %d paths", len(paths))
+func TestJellyfishHasFullFlowBetweenAllPairs(t *testing.T) {
+	// The paper's claim behind Table III: with practical y, k=8 <= y
+	// edge-disjoint paths exist between all pairs. Verify via max flow on a
+	// y=8 instance: every pair admits y disjoint paths (RRGs are whp
+	// y-connected).
+	g := smallJellyfish(t, 7)
+	for src := graph.NodeID(0); src < 24; src += 5 {
+		for dst := graph.NodeID(0); dst < 24; dst += 6 {
+			if src == dst {
+				continue
+			}
+			if flow := graph.MaxEdgeDisjointPaths(g, src, dst); flow != 8 {
+				t.Fatalf("%d->%d: max flow %d, want 8 on a y=8 RRG", src, dst, flow)
+			}
+		}
 	}
 }
 
@@ -350,7 +357,7 @@ func TestUnreachablePair(t *testing.T) {
 	b.AddEdge(0, 1)
 	b.AddEdge(2, 3)
 	g := b.Graph()
-	for _, alg := range []Algorithm{KSP, RKSP, EDKSP, REDKSP, LLSKR} {
+	for _, alg := range Algorithms {
 		c := NewComputer(g, Config{Alg: alg, K: 3}, xrand.New(1))
 		if got := c.Paths(0, 3); got != nil {
 			t.Fatalf("%v: unreachable pair returned %v", alg, got)
@@ -362,7 +369,7 @@ func TestAlgorithmNames(t *testing.T) {
 	for _, c := range []struct {
 		a    Algorithm
 		want string
-	}{{KSP, "KSP"}, {RKSP, "rKSP"}, {EDKSP, "EDKSP"}, {REDKSP, "rEDKSP"}, {LLSKR, "LLSKR"}} {
+	}{{KSP, "KSP"}, {RKSP, "rKSP"}, {EDKSP, "EDKSP"}, {REDKSP, "rEDKSP"}} {
 		if c.a.String() != c.want {
 			t.Errorf("String(%d) = %q", int(c.a), c.a.String())
 		}
@@ -371,8 +378,12 @@ func TestAlgorithmNames(t *testing.T) {
 			t.Errorf("ByName(%q) = %v, %v", c.want, back, err)
 		}
 	}
-	if _, err := ByName("bogus"); err == nil {
-		t.Error("ByName accepted bogus name")
+	// LLSKR and the node-disjoint selectors were retired: their names,
+	// e.g. from an old cache file or a jfserve topo-load, must fail.
+	for _, name := range []string{"bogus", "LLSKR", "ndksp"} {
+		if _, err := ByName(name); err == nil {
+			t.Errorf("ByName accepted %q", name)
+		}
 	}
 }
 
@@ -409,8 +420,7 @@ func TestSelectorsPropertyOnIrregularGraphs(t *testing.T) {
 			}
 		}
 		g := b.Graph()
-		algs := []Algorithm{KSP, RKSP, EDKSP, REDKSP, NDKSP, RNDKSP, LLSKR}
-		alg := algs[int(algRaw)%len(algs)]
+		alg := Algorithms[int(algRaw)%len(Algorithms)]
 		c := NewComputer(g, Config{Alg: alg, K: 3}, rng.Split())
 		src := graph.NodeID(grng.IntN(n))
 		dst := graph.NodeID(grng.IntN(n))

@@ -26,8 +26,8 @@ import (
 //	key      uint64  cache key (CacheKey of config+seed+topology+pairs)
 //	alg      uint8 length + bytes (selector name, ksp.ByName form)
 //	k        uint32
-//	spread   uint32  LLSKR spread (0 unless alg is LLSKR)
-//	min      uint32  LLSKR minimum paths (0 unless alg is LLSKR)
+//	spread   uint32  always 0 (reserved)
+//	min      uint32  always 0 (reserved)
 //	flags    uint8   bit 0: DisableEDFallback
 //	seed     uint64
 //	fallback uint64  pairs that used the edge-disjoint top-up fallback
@@ -229,12 +229,8 @@ func (db *DB) WriteCache(w io.Writer, key uint64) error {
 	e.u8(uint8(len(alg)))
 	e.bytes([]byte(alg))
 	e.u32(uint32(db.cfg.K))
-	spread, minPaths := uint32(0), uint32(0)
-	if db.cfg.Alg == ksp.LLSKR {
-		spread, minPaths = uint32(db.cfg.LLSKRSpread), uint32(db.cfg.LLSKRMin)
-	}
-	e.u32(spread)
-	e.u32(minPaths)
+	e.u32(0) // spread
+	e.u32(0) // min
 	var flags uint8
 	if db.cfg.DisableEDFallback {
 		flags |= 1
@@ -312,8 +308,8 @@ func ReadCache(r io.Reader, g *graph.Graph) (*DB, uint64, error) {
 		return nil, 0, fmt.Errorf("paths: cache: %v", err)
 	}
 	k := int(d.u32())
-	spread := int(d.u32())
-	minPaths := int(d.u32())
+	spread := d.u32()
+	minPaths := d.u32()
 	flags := d.u8()
 	seed := d.u64()
 	fallbacks := d.u64()
@@ -326,8 +322,8 @@ func ReadCache(r io.Reader, g *graph.Graph) (*DB, uint64, error) {
 	if k < 1 || k > maxPathsPerPair {
 		return nil, 0, fmt.Errorf("paths: cache k %d out of range [1, %d]", k, maxPathsPerPair)
 	}
-	if spread > 1<<20 || minPaths > 1<<20 {
-		return nil, 0, fmt.Errorf("paths: cache LLSKR knobs out of range")
+	if spread != 0 || minPaths != 0 {
+		return nil, 0, fmt.Errorf("paths: cache spread and min words must be 0, got %d and %d", spread, minPaths)
 	}
 	if flags > 1 {
 		return nil, 0, fmt.Errorf("paths: cache has unknown flag bits %#x", flags)
@@ -347,9 +343,6 @@ func ReadCache(r io.Reader, g *graph.Graph) (*DB, uint64, error) {
 	}
 
 	cfg := ksp.Config{Alg: alg, K: k, DisableEDFallback: flags&1 != 0}
-	if alg == ksp.LLSKR {
-		cfg.LLSKRSpread, cfg.LLSKRMin = spread, minPaths
-	}
 
 	// Pairs section. Slices grow with the input rather than trusting the
 	// declared totals, so truncation costs at most one growth chunk.

@@ -2,7 +2,9 @@ package paths
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/fnv"
 	"os"
 	"strings"
 	"testing"
@@ -244,6 +246,50 @@ func TestReadCacheRejectsVersionSkew(t *testing.T) {
 	}
 	if err == nil || !strings.Contains(err.Error(), "version 99") {
 		t.Fatalf("version error does not name the file's version: %v", err)
+	}
+}
+
+// TestReadCacheRejectsRetiredHeaders feeds ReadCache two headers that
+// only a writer with the retired LLSKR selector produced: its name, and a
+// nonzero spread word. Each file's checksum is recomputed, so only the
+// header checks can refuse it.
+func TestReadCacheRejectsRetiredHeaders(t *testing.T) {
+	g := testGraph(t)
+	db := Build(g, ksp.Config{Alg: ksp.EDKSP, K: 2}, 1, []Pair{{0, 1}}, 1)
+	var buf bytes.Buffer
+	if err := db.WriteCache(&buf, 1); err != nil {
+		t.Fatal(err)
+	}
+	valid := buf.Bytes()
+	// The name follows magic, version, key and its length byte; k and
+	// then the spread word follow the name.
+	const nameOff = 4 + 4 + 8 + 1
+	const spreadOff = nameOff + len("EDKSP") + 4
+	if got := string(valid[nameOff : nameOff+5]); got != "EDKSP" {
+		t.Fatalf("selector name at offset %d is %q", nameOff, got)
+	}
+	resum := func(raw []byte) []byte {
+		h := fnv.New64a()
+		h.Write(raw[:len(raw)-8])
+		binary.LittleEndian.PutUint64(raw[len(raw)-8:], h.Sum64())
+		return raw
+	}
+	llskr := bytes.Clone(valid)
+	copy(llskr[nameOff:], "LLSKR")
+	spread := bytes.Clone(valid)
+	binary.LittleEndian.PutUint32(spread[spreadOff:], 1)
+	for _, tc := range []struct {
+		name string
+		raw  []byte
+		want string
+	}{
+		{"LLSKR name", resum(llskr), `unknown algorithm "LLSKR"`},
+		{"nonzero spread", resum(spread), "spread and min words must be 0"},
+	} {
+		_, _, err := ReadCache(bytes.NewReader(tc.raw), g)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
 	}
 }
 

@@ -167,8 +167,8 @@ type TopoParams struct {
 	N int `json:"n,omitempty"`
 	X int `json:"x,omitempty"`
 	Y int `json:"y,omitempty"`
-	// Selector is the path-selection scheme: KSP, rKSP, EDKSP, rEDKSP
-	// or LLSKR (default rEDKSP).
+	// Selector is the path-selection scheme: KSP, rKSP, EDKSP or rEDKSP
+	// (default rEDKSP).
 	Selector string `json:"selector,omitempty"`
 	// K is the number of paths per pair (default 8).
 	K int `json:"k,omitempty"`

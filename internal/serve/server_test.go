@@ -346,6 +346,7 @@ func TestBadTopoParams(t *testing.T) {
 		{Topo: "galactic"},
 		{N: -3, X: 4, Y: 2},
 		{Topo: "small", Selector: "nope"},
+		{Topo: "small", Selector: "LLSKR"},
 		{Topo: "small", Mechanism: "nope"},
 		{Topo: "small", Estimator: "nope"},
 		{Topo: "small", PairSample: -1},

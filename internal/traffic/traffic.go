@@ -50,17 +50,6 @@ func (p Pattern) Validate() error {
 	return nil
 }
 
-// DestOf returns the destinations terminal src sends to.
-func (p Pattern) DestOf(src int) []int {
-	var out []int
-	for _, f := range p.Flows {
-		if f.Src == src {
-			out = append(out, f.Dst)
-		}
-	}
-	return out
-}
-
 // RandomPermutation generates a random permutation pattern: a uniform
 // permutation of the terminals with fixed points dropped, so each terminal
 // sends to at most one other terminal and receives from at most one.

@@ -351,14 +351,3 @@ func TestPatternValidateCatchesBadFlows(t *testing.T) {
 		t.Fatal("self flow accepted")
 	}
 }
-
-func TestDestOf(t *testing.T) {
-	p := Pattern{NumTerminals: 4, Flows: []Flow{{0, 1}, {0, 2}, {3, 0}}}
-	d := p.DestOf(0)
-	if len(d) != 2 || d[0] != 1 || d[1] != 2 {
-		t.Fatalf("DestOf(0) = %v", d)
-	}
-	if p.DestOf(1) != nil {
-		t.Fatal("DestOf(1) should be empty")
-	}
-}
