@@ -79,6 +79,7 @@ type SPEngine struct {
 	banCur      uint32
 
 	queue []NodeID // per node: the current search's nodes in discovery order
+	arcs  []uint64 // per directed link: search's kept arcs, u<<32 | v; made by the first randomized search
 
 	// The ball around ballDst, made on the first deterministic search;
 	// ballDst is -1 before it. ball[v]-2 is v's unbanned hop distance to
@@ -261,37 +262,73 @@ func (e *SPEngine) begin() uint64 {
 // reservoir-sample the predecessor, and dst's level is finished before
 // the search returns: that is TieRandom's RNG contract.
 //
-// The loop reads the engine's slices through e rather than copying them
-// into locals: with locals, the compiler spilled and reloaded them around
-// the draw calls on every arc, and searches ran up to 1.3 times slower.
+// Each level makes two passes over its shuffled frontier. The first scans
+// the frontier's arcs in order and keeps, in arcs, each one whose link is
+// not banned and whose target was undiscovered when the level began. The
+// second walks the kept arcs in order: the first arc into a node
+// discovers it, and each later one is a tie that draws. A one-loop scan
+// meets the same events in the same order. It skips exactly the arcs the
+// first pass drops: those into nodes discovered at earlier levels or
+// banned, and those over banned links. It discovers a node at the first
+// kept arc into it and draws at each later one, since the node's mark
+// then reads as this level. So every draw and every path is the one-loop
+// scan's. Whether an arc is old, new or a tie is close to random, and the
+// one loop's three-way branch on it made rKSP and rEDKSP selection about
+// twice as slow; the first pass decides only keep or drop, by
+// conditional moves. A frontier's nodes are distinct, so a level scans
+// each directed link at most once and arcs needs one entry per link.
+//
+// Both passes read the engine's slices through e. Copying them into
+// locals measured alike, within 3% either way in BenchmarkSelectors'
+// rKSP and rEDKSP cells: the first pass makes no call, and the second
+// calls the draw on ties only.
 func (e *SPEngine) search(cur uint64, src, dst NodeID) bool {
+	if e.arcs == nil {
+		e.arcs = make([]uint64, len(e.g.nbr))
+	}
 	e.queue[0] = src
 	head, tail := 0, 1
 	for level := uint64(1); head < tail; level++ {
 		end := tail
 		xrand.ShuffleSlice(e.rng, e.queue[head:end])
-		here := cur | level // the mark of a node first reached from this frontier
-		for ; head < end; head++ {
-			u := e.queue[head]
+		kept := 0
+		for _, u := range e.queue[head:end] {
 			lo, hi := e.g.start[u], e.g.start[u+1]
 			bans := e.linkBan[lo:hi]
 			for i, v := range e.g.nbr[lo:hi] {
-				if m := e.mark[v]; m < cur {
-					if bans[i] == e.banCur {
-						continue
-					}
-					e.mark[v] = here
-					e.pred[v] = uint64(u)<<32 | 1
-					e.queue[tail] = v
-					tail++
-				} else if m == here && bans[i] != e.banCur {
-					p := e.pred[v] + 1
-					if e.rng.IntN(int(uint32(p))) == 0 {
-						p = uint64(u)<<32 | uint64(uint32(p))
-					}
-					e.pred[v] = p
+				// Every arc is written and kept ones advance kept; the
+				// two ifs of one assignment each compile to conditional
+				// moves.
+				e.arcs[kept] = uint64(u)<<32 | uint64(uint32(v))
+				keep := 1
+				if e.mark[v] >= cur {
+					keep = 0
 				}
+				if bans[i] == e.banCur {
+					keep = 0
+				}
+				kept += keep
 			}
+		}
+		head = end
+		here := cur | level // the mark of a node first reached from this frontier
+		for _, a := range e.arcs[:kept] {
+			u, v := a>>32, NodeID(uint32(a))
+			if e.mark[v] < cur {
+				e.mark[v] = here
+				e.pred[v] = u<<32 | 1
+				e.queue[tail] = v
+				tail++
+				continue
+			}
+			// The winner is made before the draw, so that taking it
+			// compiles to a conditional move.
+			p := e.pred[v] + 1
+			won := u<<32 | uint64(uint32(p))
+			if e.rng.IntN(int(uint32(p))) == 0 {
+				p = won
+			}
+			e.pred[v] = p
 		}
 		if e.mark[dst] >= cur {
 			// dst was discovered in the level just expanded; all its

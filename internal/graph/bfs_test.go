@@ -97,6 +97,78 @@ func TestRandomTieBreakSameLengthAsDeterministic(t *testing.T) {
 	}
 }
 
+// TestRandomSearchFullFrontier checks the randomized engine against the
+// oracle search (refBans.search) where one level's frontier scans nearly
+// every directed link, or keeps nearly every arc a level can keep: search
+// keeps the arcs from the frontier to nodes undiscovered when the level
+// began, in an array of one entry per directed link, so a level keeps at
+// most one arc per undirected edge. The graphs are K_16, banned in the
+// second run along a perfect matching, so that a matched pair is two hops
+// apart and its second level scans up to 195 of the 240 links; and the
+// join of a 12-leaf star with a K_6, every star node adjacent to every
+// clique node (105 edges), where a search from one leaf to another keeps
+// 77 arcs at its second level, 66 of them ties, and one from the hub to
+// the leaf whose link to it is banned scans 167 of the 210 links. Every
+// ordered pair is searched, once without bans and once under node,
+// directed-link and undirected-link bans; the engine must return the
+// oracle's path and leave its RNG where the oracle leaves its own.
+func TestRandomSearchFullFrontier(t *testing.T) {
+	join := NewBuilder(19) // hub 0, leaves 1..12, clique 13..18
+	for c := NodeID(13); c <= 18; c++ {
+		for u := NodeID(0); u < c; u++ {
+			join.AddEdge(u, c)
+		}
+	}
+	for leaf := NodeID(1); leaf <= 12; leaf++ {
+		join.AddEdge(0, leaf)
+	}
+	for _, tc := range []struct {
+		name       string
+		g          *Graph
+		node       NodeID      // banned in the second run
+		undirected [][2]NodeID // banned in the second run
+		directed   [][2]NodeID // banned in the second run
+	}{
+		{"K16", complete(16), 7,
+			[][2]NodeID{{0, 1}, {2, 3}, {4, 5}, {6, 7}, {8, 9}, {10, 11}, {12, 13}, {14, 15}}, nil},
+		{"star joined to K6", join.Graph(), 15, [][2]NodeID{{0, 1}}, [][2]NodeID{{13, 2}, {3, 14}}},
+	} {
+		for _, banned := range []bool{false, true} {
+			rng, refRNG := xrand.New(7), xrand.New(7)
+			e := NewSPEngine(tc.g, TieRandom, rng)
+			ref := newRefBans()
+			if banned {
+				e.BanNode(tc.node)
+				ref.nodes[tc.node] = true
+				for _, l := range tc.undirected {
+					e.BanUndirectedEdge(l[0], l[1])
+					ref.links[l] = true
+					ref.links[[2]NodeID{l[1], l[0]}] = true
+				}
+				for _, l := range tc.directed {
+					e.BanDirectedEdge(l[0], l[1])
+					ref.links[l] = true
+				}
+			}
+			n := NodeID(tc.g.NumNodes())
+			for src := NodeID(0); src < n; src++ {
+				for dst := NodeID(0); dst < n; dst++ {
+					got, ok := e.ShortestPath(src, dst)
+					want, wantOK := ref.search(tc.g, TieRandom, refRNG, src, dst)
+					if ok != wantOK || !got.Equal(want) {
+						t.Fatalf("%s, banned %v: %d->%d = %v, %v; oracle %v, %v",
+							tc.name, banned, src, dst, got, ok, want, wantOK)
+					}
+					if a, b := rng.Uint64(), refRNG.Uint64(); a != b {
+						t.Fatalf("%s, banned %v: after %d->%d the engine's next word is %x, the oracle's %x",
+							tc.name, banned, src, dst, a, b)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestNodeBans(t *testing.T) {
 	// Cycle of 6: banning node 1 forces the long way around from 0 to 2.
 	e := NewSPEngine(cycle(6), TieDeterministic, nil)
