@@ -18,6 +18,7 @@ package ksp
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/xrand"
@@ -115,9 +116,9 @@ type Computer struct {
 	// disconnected before K paths were found.
 	fallbacks int
 
-	// Yen scratch.
+	// Yen scratch: the candidates, whose paths are slices of nodes.
 	candidates []candidate
-	seen       map[string]struct{}
+	nodes      []graph.NodeID
 }
 
 type candidate struct {
@@ -139,11 +140,10 @@ func NewComputer(g *graph.Graph, cfg Config, rng *xrand.RNG) *Computer {
 		}
 	}
 	return &Computer{
-		cfg:  cfg,
-		g:    g,
-		eng:  graph.NewSPEngine(g, tie, rng),
-		rng:  rng,
-		seen: make(map[string]struct{}),
+		cfg: cfg,
+		g:   g,
+		eng: graph.NewSPEngine(g, tie, rng),
+		rng: rng,
 	}
 }
 
@@ -184,6 +184,14 @@ func (c *Computer) Paths(src, dst graph.NodeID) []graph.Path {
 // yen computes up to k shortest loopless paths (Yen 1971) using the
 // engine's tie-break policy for both the underlying searches and the
 // selection among equally short candidates.
+//
+// A candidate's nodes are appended to c.nodes, and the slice is dropped
+// again if the path is already a candidate; popBest copies the one it
+// takes. When append moves c.nodes, older candidates keep the old array,
+// whose nodes no later append overwrites. No candidate can equal an
+// accepted path, since its spur search was banned from the next link of
+// every accepted path sharing its root, so only the candidates are
+// searched for duplicates.
 func (c *Computer) yen(src, dst graph.NodeID, k int) []graph.Path {
 	c.eng.ClearBans()
 	first, ok := c.eng.ShortestPath(src, dst)
@@ -193,8 +201,7 @@ func (c *Computer) yen(src, dst graph.NodeID, k int) []graph.Path {
 	a := make([]graph.Path, 0, k)
 	a = append(a, first)
 	c.candidates = c.candidates[:0]
-	clear(c.seen)
-	c.seen[pathKey(first)] = struct{}{}
+	c.nodes = c.nodes[:0]
 
 	for len(a) < k {
 		prev := a[len(a)-1]
@@ -220,14 +227,14 @@ func (c *Computer) yen(src, dst graph.NodeID, k int) []graph.Path {
 			if !ok {
 				continue
 			}
-			total := make(graph.Path, 0, j+len(spurPath))
-			total = append(total, rootPath[:j]...)
-			total = append(total, spurPath...)
-			key := pathKey(total)
-			if _, dup := c.seen[key]; dup {
+			off := len(c.nodes)
+			c.nodes = append(c.nodes, rootPath[:j]...)
+			c.nodes = append(c.nodes, spurPath...)
+			total := graph.Path(c.nodes[off:])
+			if c.isCandidate(total) {
+				c.nodes = c.nodes[:off]
 				continue
 			}
-			c.seen[key] = struct{}{}
 			c.candidates = append(c.candidates, candidate{p: total, hops: total.Hops()})
 		}
 		if len(c.candidates) == 0 {
@@ -262,10 +269,20 @@ func (c *Computer) popBest() graph.Path {
 			}
 		}
 	}
-	p := c.candidates[best].p
+	p := c.candidates[best].p.Clone()
 	c.candidates[best] = c.candidates[len(c.candidates)-1]
 	c.candidates = c.candidates[:len(c.candidates)-1]
 	return p
+}
+
+// isCandidate reports whether p is one of the current candidates.
+func (c *Computer) isCandidate(p graph.Path) bool {
+	for _, q := range c.candidates {
+		if q.p.Equal(p) {
+			return true
+		}
+	}
+	return false
 }
 
 // removeFind implements the Remove-Find edge-disjoint method: repeatedly
@@ -295,12 +312,9 @@ func (c *Computer) removeFind(src, dst graph.NodeID) []graph.Path {
 	}
 	// Top up with Yen paths not already present.
 	c.fallbacks++
-	have := make(map[string]struct{}, len(out))
-	for _, p := range out {
-		have[pathKey(p)] = struct{}{}
-	}
-	for _, p := range c.yen(src, dst, c.cfg.K+len(out)) {
-		if _, dup := have[pathKey(p)]; dup {
+	found := len(out)
+	for _, p := range c.yen(src, dst, c.cfg.K+found) {
+		if slices.ContainsFunc(out[:found], p.Equal) {
 			continue
 		}
 		out = append(out, p)
@@ -310,15 +324,6 @@ func (c *Computer) removeFind(src, dst graph.NodeID) []graph.Path {
 	}
 	sortByHops(out)
 	return out
-}
-
-// pathKey serializes a path into a map key.
-func pathKey(p graph.Path) string {
-	b := make([]byte, 0, 4*len(p))
-	for _, u := range p {
-		b = append(b, byte(u), byte(u>>8), byte(u>>16), byte(u>>24))
-	}
-	return string(b)
 }
 
 func samePrefix(p, prefix graph.Path) bool {
