@@ -24,7 +24,7 @@ import (
 //	magic    "JFPC"
 //	version  uint32 (= 1)
 //	key      uint64  cache key (CacheKey of config+seed+topology+pairs)
-//	alg      uint8 length + bytes (selector name, ksp.ByName form)
+//	alg      uint8 length + bytes (selector name, as Algorithm.String spells it)
 //	k        uint32
 //	spread   uint32  always 0 (reserved)
 //	min      uint32  always 0 (reserved)
@@ -306,6 +306,12 @@ func ReadCache(r io.Reader, g *graph.Graph) (*DB, uint64, error) {
 	alg, err := ksp.ByName(string(algName))
 	if err != nil {
 		return nil, 0, fmt.Errorf("paths: cache: %v", err)
+	}
+	// ByName also takes the command line's lowercase aliases, which
+	// WriteCache never writes: a file naming one would not re-serialize
+	// to its own bytes.
+	if alg.String() != string(algName) {
+		return nil, 0, fmt.Errorf("paths: cache selector name %q is not canonical; WriteCache writes %q", algName, alg)
 	}
 	k := int(d.u32())
 	spread := d.u32()

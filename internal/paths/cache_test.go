@@ -249,10 +249,12 @@ func TestReadCacheRejectsVersionSkew(t *testing.T) {
 	}
 }
 
-// TestReadCacheRejectsRetiredHeaders feeds ReadCache two headers that
-// only a writer with the retired LLSKR selector produced: its name, and a
-// nonzero spread word. Each file's checksum is recomputed, so only the
-// header checks can refuse it.
+// TestReadCacheRejectsRetiredHeaders feeds ReadCache three headers that
+// WriteCache never writes: the retired LLSKR selector's name, a nonzero
+// spread word, which only LLSKR wrote, and the lowercase alias "edksp",
+// which ksp.ByName accepts on command lines but which would load and
+// re-serialize as "EDKSP". Each file's checksum is recomputed, so only
+// the header checks can refuse it.
 func TestReadCacheRejectsRetiredHeaders(t *testing.T) {
 	g := testGraph(t)
 	db := Build(g, ksp.Config{Alg: ksp.EDKSP, K: 2}, 1, []Pair{{0, 1}}, 1)
@@ -278,6 +280,8 @@ func TestReadCacheRejectsRetiredHeaders(t *testing.T) {
 	copy(llskr[nameOff:], "LLSKR")
 	spread := bytes.Clone(valid)
 	binary.LittleEndian.PutUint32(spread[spreadOff:], 1)
+	alias := bytes.Clone(valid)
+	copy(alias[nameOff:], "edksp")
 	for _, tc := range []struct {
 		name string
 		raw  []byte
@@ -285,6 +289,7 @@ func TestReadCacheRejectsRetiredHeaders(t *testing.T) {
 	}{
 		{"LLSKR name", resum(llskr), `unknown algorithm "LLSKR"`},
 		{"nonzero spread", resum(spread), "spread and min words must be 0"},
+		{"lowercase alias", resum(alias), `selector name "edksp" is not canonical`},
 	} {
 		_, _, err := ReadCache(bytes.NewReader(tc.raw), g)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
