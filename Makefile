@@ -131,10 +131,12 @@ docs-check:
 # Seeded runs whose stdout examples-check diffs against a committed file:
 # one line each, the expected-output file, then the program (a directory
 # under cmd/) and its arguments. They pin every table the CLIs print on
-# the small topology, and each takes at most a few seconds.
+# the small topology, and Table I on all three, and each takes at most a
+# few seconds.
 define CLI_RUNS
 cmd/testdata/jfnet-tables.txt jfnet -table all -topos small -seed 1
 cmd/testdata/jfnet-tables.csv jfnet -table all -topos small -seed 1 -csv
+cmd/testdata/jfnet-table1.txt jfnet -table I -topos small,medium,large -seed 1
 cmd/testdata/jfnet-fault-sweep.txt jfnet -fault-sweep 0,2 -topos small -rate 0.3
 cmd/testdata/jfmodel.txt jfmodel -topo small -seed 1
 cmd/testdata/jfablate-k.txt jfablate -study k -topo small
