@@ -1,6 +1,7 @@
 package graph_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/graph"
@@ -59,6 +60,26 @@ func BenchmarkShortestPath(b *testing.B) {
 					e.BanUndirectedEdge(p[j], p[j+1])
 				}
 				pathSink = p
+			}
+		})
+	}
+}
+
+var metricsSink graph.Metrics
+
+// BenchmarkMetrics times graph.ComputeMetrics, one breadth-first scan
+// (AllDistancesFrom) from every node, on one worker, for each of the
+// paper's three Jellyfish instances; ns/op is one whole computation, the
+// cost Table I and every experiment's set-up pay.
+//
+//	go test ./internal/graph -run '^$' -bench Metrics -benchmem
+func BenchmarkMetrics(b *testing.B) {
+	for _, p := range []jellyfish.Params{jellyfish.Small, jellyfish.Medium, jellyfish.Large} {
+		g := jellyfish.MustNew(p, xrand.New(1)).G
+		b.Run(fmt.Sprintf("RRG(%d,%d,%d)", p.N, p.X, p.Y), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				metricsSink = graph.ComputeMetrics(g, 1)
 			}
 		})
 	}
