@@ -279,9 +279,10 @@ func refTwoDistinct(r *rand.Rand, n int) [2]int {
 // power-of-two and huge bounds, on the RNG and on math/rand/v2's
 // rand.New(rand.NewPCG(hi, lo)) over the same seed words, and requires
 // equal results draw by draw: from a fresh RNG, after Reseed, and in a
-// Split child. Int64N(1<<62+1) rejects about a quarter of its words, so a
-// rejection rule other than math/rand/v2's desynchronizes the streams at
-// once; the final Uint64 checks that both consumed the same words.
+// Split child. Int64N(1<<62+1) and Reduce with that bound reject about a
+// quarter of their words, so a rejection rule other than math/rand/v2's
+// desynchronizes the streams at once; the final Uint64 checks that both
+// consumed the same words.
 func TestMatchesMathRand(t *testing.T) {
 	bounds := []int{1, 2, 3, 5, 7, 8, 64, 100, 1 << 20, 1<<20 + 7, 1<<62 + 1}
 	script := []struct {
@@ -305,6 +306,16 @@ func TestMatchesMathRand(t *testing.T) {
 			}
 			for i := 0; i < 64; i++ {
 				got, want = append(got, g.Int64N(1<<62+1)), append(want, r.Int64N(1<<62+1))
+			}
+			return got, want
+		}},
+		{"Reduce", func(g *RNG, r *rand.Rand) (any, any) {
+			var got, want []uint64
+			for _, n := range bounds {
+				got, want = append(got, g.Reduce(g.Uint64(), uint64(n))), append(want, r.Uint64N(uint64(n)))
+			}
+			for i := 0; i < 64; i++ {
+				got, want = append(got, g.Reduce(g.Uint64(), 1<<62+1)), append(want, r.Uint64N(1<<62+1))
 			}
 			return got, want
 		}},
@@ -416,6 +427,7 @@ func TestDrawsDoNotAllocate(t *testing.T) {
 		{"Bool", func() { g.Bool() }},
 		{"IntN", func() { g.IntN(7) }},
 		{"Int64N", func() { g.Int64N(1<<62 + 1) }},
+		{"Reduce", func() { g.Reduce(g.Uint64(), 1<<62+1) }},
 		{"IntNExcept", func() { g.IntNExcept(9, 4) }},
 		{"TwoDistinct", func() { g.TwoDistinct(720) }},
 		{"ShuffleSlice", func() { ShuffleSlice(g, s) }},
