@@ -169,6 +169,168 @@ func TestRandomSearchFullFrontier(t *testing.T) {
 	}
 }
 
+// TestRandomSearchBottomUp checks the randomized engine against the
+// oracle search (refBans.search) on random regular graphs of the shapes of
+// the paper's RRG(720,24,19) and RRG(200,12,6) (19-regular on 720 nodes,
+// 6-regular on 200), where a search's last level, with a frontier of
+// hundreds of nodes and a few undiscovered ones, runs bottom-up (see
+// keepBottomUp). Each sampled pair is searched the way the selectors
+// search it: by Remove-Find, banning each path's links in both
+// directions, up to 8 paths; by Yen's first round, a spur search from
+// each node of the first path with the root's nodes and the path's next
+// link banned; and once under a random quarter of the directed links and
+// a twentieth of the nodes banned, so that bottom-up levels meet links
+// banned in one direction only. Every query must return the oracle's path
+// and leave the engine's RNG where the oracle leaves its own.
+func TestRandomSearchBottomUp(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		g     *Graph
+		pairs int
+	}{
+		{"RRG(720,24,19)", randomRegular(xrand.New(1), 720, 19), 30},
+		{"RRG(200,12,6)", randomRegular(xrand.New(2), 200, 6), 60},
+	} {
+		rng, refRNG, pick := xrand.New(3), xrand.New(3), xrand.New(4)
+		e := NewSPEngine(tc.g, TieRandom, rng)
+		var ref *refBans
+		clearBans := func() {
+			e.ClearBans()
+			ref = newRefBans()
+		}
+		banLink := func(u, v NodeID) {
+			e.BanDirectedEdge(u, v)
+			ref.links[[2]NodeID{u, v}] = true
+		}
+		banNode := func(u NodeID) {
+			e.BanNode(u)
+			ref.nodes[u] = true
+		}
+		query := func(how string, src, dst NodeID) Path {
+			got, ok := e.ShortestPath(src, dst)
+			want, wantOK := ref.search(tc.g, TieRandom, refRNG, src, dst)
+			if ok != wantOK || !got.Equal(want) {
+				t.Fatalf("%s, %s: %d->%d = %v, %v; oracle %v, %v", tc.name, how, src, dst, got, ok, want, wantOK)
+			}
+			if a, b := rng.Uint64(), refRNG.Uint64(); a != b {
+				t.Fatalf("%s, %s: after %d->%d the engine's next word is %x, the oracle's %x", tc.name, how, src, dst, a, b)
+			}
+			return got
+		}
+		n := tc.g.NumNodes()
+		for range tc.pairs {
+			s, d := pick.TwoDistinct(n)
+			src, dst := NodeID(s), NodeID(d)
+			clearBans()
+			var first Path
+			for range 8 {
+				p := query("Remove-Find", src, dst)
+				if p == nil {
+					break
+				}
+				if first == nil {
+					first = p
+				}
+				for i := 0; i+1 < len(p); i++ {
+					banLink(p[i], p[i+1])
+					banLink(p[i+1], p[i])
+				}
+			}
+			for j := 0; j+1 < len(first); j++ {
+				clearBans()
+				banLink(first[j], first[j+1])
+				for _, u := range first[:j] {
+					banNode(u)
+				}
+				query("Yen", first[j], dst)
+			}
+			clearBans()
+			for l := range int32(tc.g.NumDirectedLinks()) {
+				if pick.IntN(4) == 0 {
+					banLink(tc.g.LinkEndpoints(l))
+				}
+			}
+			for u := range NodeID(n) {
+				if u != src && u != dst && pick.IntN(20) == 0 {
+					banNode(u)
+				}
+			}
+			query("random bans", src, dst)
+		}
+	}
+}
+
+// TestAllDistancesBottomUp checks AllDistancesFrom against the queue BFS
+// (refBans.bfs) from every source, on graphs where its levels run
+// bottom-up, stopping each undiscovered node at its first frontier
+// neighbour: a random 19-regular graph on 720 nodes, the shape of
+// RRG(720,24,19), without bans and under node, directed-link and
+// undirected-link bans, so that a scan's last levels find a few nodes
+// left behind the bans; and K_12 with a path of 6 nodes hanging from node
+// 0, numbered outward from 12, where a scan from any other clique node
+// meets the whole path undiscovered behind a frontier of 11 clique
+// nodes, and each path node is one level further than the one before it,
+// which the same bottom-up level discovers first. The second run of the
+// path bans the link 0→12 but not 12→0, so that the bottom-up level must
+// read the ban of the link into the node it scans from.
+func TestAllDistancesBottomUp(t *testing.T) {
+	tail := NewBuilder(18)
+	for u := NodeID(0); u < 12; u++ {
+		for v := u + 1; v < 12; v++ {
+			tail.AddEdge(u, v)
+		}
+	}
+	tail.AddEdge(0, 12)
+	for u := NodeID(12); u < 17; u++ {
+		tail.AddEdge(u, u+1)
+	}
+	rrg := randomRegular(xrand.New(5), 720, 19)
+	pick := xrand.New(6)
+	for _, tc := range []struct {
+		name string
+		g    *Graph
+		ban  func(e *SPEngine, ref *refBans)
+	}{
+		{"RRG(720,24,19)", rrg, func(*SPEngine, *refBans) {}},
+		{"RRG(720,24,19), banned", rrg, func(e *SPEngine, ref *refBans) {
+			for l := range int32(rrg.NumDirectedLinks()) {
+				u, v := rrg.LinkEndpoints(l)
+				switch pick.IntN(16) {
+				case 0:
+					e.BanDirectedEdge(u, v)
+					ref.links[[2]NodeID{u, v}] = true
+				case 1:
+					e.BanUndirectedEdge(u, v)
+					ref.links[[2]NodeID{u, v}] = true
+					ref.links[[2]NodeID{v, u}] = true
+				}
+			}
+			for u := range NodeID(rrg.NumNodes()) {
+				if pick.IntN(20) == 0 {
+					e.BanNode(u)
+					ref.nodes[u] = true
+				}
+			}
+		}},
+		{"K12 with a pendant path", tail.Graph(), func(*SPEngine, *refBans) {}},
+		{"K12 with a pendant path, 0->12 banned", tail.Graph(), func(e *SPEngine, ref *refBans) {
+			e.BanDirectedEdge(0, 12)
+			ref.links[[2]NodeID{0, 12}] = true
+		}},
+	} {
+		e := NewSPEngine(tc.g, TieDeterministic, nil)
+		ref := newRefBans()
+		tc.ban(e, ref)
+		dist := make([]int32, tc.g.NumNodes())
+		for src := range NodeID(tc.g.NumNodes()) {
+			e.AllDistancesFrom(src, dist)
+			if _, want := ref.bfs(tc.g, src); !slices.Equal(dist, want) {
+				t.Fatalf("%s: distances from %d = %v, oracle %v", tc.name, src, dist, want)
+			}
+		}
+	}
+}
+
 func TestNodeBans(t *testing.T) {
 	// Cycle of 6: banning node 1 forces the long way around from 0 to 2.
 	e := NewSPEngine(cycle(6), TieDeterministic, nil)

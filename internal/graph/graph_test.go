@@ -36,6 +36,44 @@ func complete(n int) *Graph {
 	return b.Graph()
 }
 
+// randomRegular returns a random d-regular graph on n nodes, for n*d
+// even and d < n: the circulant graph joining each node to the d/2 next
+// ones around a ring (and, for odd d, to the opposite node), rewired by
+// 10 double-edge swaps per edge, each replacing {u1, v1} and {u2, v2} by
+// {u1, v2} and {u2, v1} when both are new and neither is a loop.
+func randomRegular(rng *xrand.RNG, n, d int) *Graph {
+	b := NewBuilder(n)
+	var edges [][2]NodeID
+	add := func(u, v NodeID) {
+		b.AddEdge(u, v)
+		edges = append(edges, [2]NodeID{u, v})
+	}
+	for u := range NodeID(n) {
+		for k := 1; k <= d/2; k++ {
+			add(u, (u+NodeID(k))%NodeID(n))
+		}
+		if d%2 == 1 && int(u) < n/2 {
+			add(u, u+NodeID(n/2))
+		}
+	}
+	for range 10 * len(edges) {
+		i, j := rng.TwoDistinct(len(edges))
+		u1, v1, u2, v2 := edges[i][0], edges[i][1], edges[j][0], edges[j][1]
+		if rng.Bool() {
+			u2, v2 = v2, u2
+		}
+		if u1 == v2 || u2 == v1 || b.HasEdge(u1, v2) || b.HasEdge(u2, v1) {
+			continue
+		}
+		b.RemoveEdge(u1, v1)
+		b.RemoveEdge(u2, v2)
+		b.AddEdge(u1, v2)
+		b.AddEdge(u2, v1)
+		edges[i], edges[j] = [2]NodeID{u1, v2}, [2]NodeID{u2, v1}
+	}
+	return b.Graph()
+}
+
 // randomGraph returns an Erdos-Renyi-ish graph for property tests.
 func randomGraph(rng *xrand.RNG, n int, p float64) *Graph {
 	b := NewBuilder(n)
