@@ -185,13 +185,14 @@ func (c *Computer) Paths(src, dst graph.NodeID) []graph.Path {
 // engine's tie-break policy for both the underlying searches and the
 // selection among equally short candidates.
 //
-// A candidate's nodes are appended to c.nodes, and the slice is dropped
-// again if the path is already a candidate; popBest copies the one it
-// takes. When append moves c.nodes, older candidates keep the old array,
-// whose nodes no later append overwrites. No candidate can equal an
-// accepted path, since its spur search was banned from the next link of
-// every accepted path sharing its root, so only the candidates are
-// searched for duplicates.
+// A candidate's nodes are appended to c.nodes, its root by copying and
+// its spur path by the search itself, and they are dropped again if there
+// is no spur path or the path is already a candidate; popBest copies the
+// one it takes. When an append moves c.nodes, older candidates keep the
+// old array, whose nodes no later append overwrites. No candidate can
+// equal an accepted path, since its spur search was banned from the next
+// link of every accepted path sharing its root, so only the candidates
+// are searched for duplicates.
 func (c *Computer) yen(src, dst graph.NodeID, k int) []graph.Path {
 	c.eng.ClearBans()
 	first, ok := c.eng.ShortestPath(src, dst)
@@ -223,13 +224,13 @@ func (c *Computer) yen(src, dst graph.NodeID, k int) []graph.Path {
 				c.eng.BanNode(u)
 			}
 
-			spurPath, ok := c.eng.ShortestPath(spur, dst)
-			if !ok {
-				continue
-			}
 			off := len(c.nodes)
 			c.nodes = append(c.nodes, rootPath[:j]...)
-			c.nodes = append(c.nodes, spurPath...)
+			c.nodes, ok = c.eng.AppendShortestPath(c.nodes, spur, dst)
+			if !ok {
+				c.nodes = c.nodes[:off]
+				continue
+			}
 			total := graph.Path(c.nodes[off:])
 			if c.isCandidate(total) {
 				c.nodes = c.nodes[:off]
