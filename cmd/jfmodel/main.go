@@ -8,7 +8,8 @@
 //
 // The paper averages 10 RRG instances x 50 pattern instances; that is
 // -topo-samples 10 -pattern-samples 50 (hours of compute on the large
-// topology — defaults are smaller).
+// topology — defaults are smaller). The model's check against exact
+// max-min fairness is jfablate -study validate.
 package main
 
 import (
@@ -34,7 +35,6 @@ func main() {
 		workers        = flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
 		csv            = flag.Bool("csv", false, "emit CSV instead of aligned text")
 		noSP           = flag.Bool("no-sp", false, "omit the single-path baseline")
-		method         = flag.String("method", "model", "throughput methodology: model (Eq.1) or validate (Eq.1 vs max-min fairness)")
 		chart          = flag.Bool("chart", false, "render a text bar chart instead of a table")
 	)
 	flag.Parse()
@@ -44,9 +44,6 @@ func main() {
 	}
 	if *randomX < 1 {
 		fatal(fmt.Errorf("-random-x must be at least 1, got %d", *randomX))
-	}
-	if *method != "model" && *method != "validate" {
-		fatal(fmt.Errorf("unknown -method %q (want model or validate)", *method))
 	}
 	params, err := jellyfish.ByName(*topoName)
 	if err != nil {
@@ -66,19 +63,6 @@ func main() {
 		K:              *k,
 		Seed:           *seed,
 		Workers:        *workers,
-	}
-	if *method == "validate" {
-		res, err := exp.ValidateModel(params, sc)
-		if err != nil {
-			fatal(err)
-		}
-		t := res.Table(fmt.Sprintf("Model vs max-min fairness on %v (k=%d)", params, *k))
-		if *csv {
-			fmt.Print(t.CSV())
-		} else {
-			fmt.Println(t.String())
-		}
-		return
 	}
 	res, err := exp.ModelThroughput(cfg, sc)
 	if err != nil {

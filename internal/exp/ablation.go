@@ -39,8 +39,8 @@ func AblationKSweep(params jellyfish.Params, ks []int, sc Scale) (*KSweepResult,
 		return nil, err
 	}
 	for _, k := range ks {
-		if k < 1 {
-			return nil, fmt.Errorf("exp: k %d out of range (want >= 1)", k)
+		if k < 1 || k > routing.MaxK {
+			return nil, fmt.Errorf("exp: k %d out of range (want 1 to %d)", k, routing.MaxK)
 		}
 	}
 	res := &KSweepResult{

@@ -34,7 +34,7 @@ type Scale struct {
 	// (0 = all ordered pairs; the paper's cluster runs used all pairs, a
 	// laptop will want sampling on RRG(2880,48,38)).
 	PairSample int
-	// K is the paths per pair (paper: 8; 0 = 8).
+	// K is the paths per pair (paper: 8; 0 = 8; at most routing.MaxK).
 	K int
 	// Workers bounds parallelism (<= 0 = GOMAXPROCS).
 	Workers int
@@ -49,8 +49,9 @@ type Scale struct {
 	PathCache string
 }
 
-// withDefaults rejects negative sample counts and a negative k, and fills
-// the zero-valued fields. Every experiment entry point runs it first.
+// withDefaults rejects negative sample counts and a k outside 0 to
+// routing.MaxK, and fills the zero-valued fields. Every experiment entry
+// point runs it first.
 func (sc Scale) withDefaults() (Scale, error) {
 	switch {
 	case sc.TopoSamples < 0:
@@ -59,8 +60,8 @@ func (sc Scale) withDefaults() (Scale, error) {
 		return sc, fmt.Errorf("exp: pattern samples %d out of range (want >= 0)", sc.PatternSamples)
 	case sc.PairSample < 0:
 		return sc, fmt.Errorf("exp: pair sample %d out of range (want >= 0)", sc.PairSample)
-	case sc.K < 0:
-		return sc, fmt.Errorf("exp: k %d out of range (want >= 0)", sc.K)
+	case sc.K < 0 || sc.K > routing.MaxK:
+		return sc, fmt.Errorf("exp: k %d out of range (want 0 to %d)", sc.K, routing.MaxK)
 	}
 	if sc.TopoSamples == 0 {
 		sc.TopoSamples = 1

@@ -145,7 +145,8 @@ func Random(g *graph.Graph, n int, at int64, seed uint64) (*Schedule, error) {
 
 // PathDown builds a schedule failing every link of the given path at cycle
 // at — the "kill one whole candidate path" scenario the edge-disjoint
-// selectors are designed to survive.
+// selectors are designed to survive. The simulators' and routing's fault
+// tests build their fixtures with it.
 func PathDown(p graph.Path, at int64) (*Schedule, error) {
 	events := make([]Event, 0, p.Hops())
 	for i := 0; i+1 < len(p); i++ {

@@ -101,9 +101,6 @@ func Parse(r io.Reader) (*Schedule, error) {
 	return NewSchedule(events)
 }
 
-// ParseString parses a schedule from a string.
-func ParseString(s string) (*Schedule, error) { return Parse(strings.NewReader(s)) }
-
 // ParseSpec resolves a command-line fault specification into a schedule:
 //
 //	random:<n>@<cycle>[,<n>@<cycle>...]  n seeded-random links down at cycle

@@ -17,12 +17,12 @@ func FuzzScheduleParse(f *testing.F) {
 	f.Add("FAULTS 1\ndown -1 0 1\n")
 	f.Add("FAULTS 1\nup 0 7 7\n")
 	f.Fuzz(func(t *testing.T, input string) {
-		s, err := ParseString(input)
+		s, err := parseString(input)
 		if err != nil {
 			return
 		}
 		text := s.Format()
-		back, err := ParseString(text)
+		back, err := parseString(text)
 		if err != nil {
 			t.Fatalf("Format output failed to parse: %v\n%s", err, text)
 		}

@@ -82,12 +82,6 @@ func ByName(name string) (Mechanism, error) {
 // accepts, for error messages and usage strings.
 const validNames = "sp, random, round-robin, ugal, ksp-ugal, ksp-adaptive"
 
-// Names returns the canonical lower-case name of every mechanism, in
-// the order Mechanisms returns them, plus "sp".
-func Names() []string {
-	return []string{"random", "round-robin", "ugal", "ksp-ugal", "ksp-adaptive", "sp"}
-}
-
 // Mechanisms lists the paper's routing mechanisms in presentation order
 // (Figures 7-10 group bars as Random, Round-Robin, UGAL, KSP-UGAL,
 // KSP-adaptive).

@@ -7,6 +7,9 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/graph"
+	"repro/internal/jellyfish"
+	"repro/internal/ksp"
+	"repro/internal/paths"
 	"repro/internal/xrand"
 )
 
@@ -56,12 +59,16 @@ func TestByNameAcceptsAllDocumentedNames(t *testing.T) {
 	}
 }
 
+// canonicalNames is the canonical spelling of every mechanism, as the
+// ByName error and the usage strings list them.
+func canonicalNames() []string { return strings.Split(validNames, ", ") }
+
 func TestByNameErrorListsValidNames(t *testing.T) {
 	_, err := ByName("magic")
 	if err == nil {
 		t.Fatal("bogus mechanism accepted")
 	}
-	for _, name := range Names() {
+	for _, name := range canonicalNames() {
 		if !strings.Contains(err.Error(), name) {
 			t.Errorf("error %q does not list valid name %q", err, name)
 		}
@@ -72,7 +79,7 @@ func TestNamesRoundTrip(t *testing.T) {
 	// Every canonical name resolves, and the canonical spellings cover
 	// every mechanism Mechanisms returns plus SP.
 	seen := map[string]bool{}
-	for _, name := range Names() {
+	for _, name := range canonicalNames() {
 		m, err := ByName(name)
 		if err != nil {
 			t.Fatalf("canonical name %q does not resolve: %v", name, err)
@@ -100,12 +107,69 @@ func TestSameSwitchShortCircuit(t *testing.T) {
 func TestNoCandidatesReturnsNil(t *testing.T) {
 	v := &View{Provider: mapProvider{}, NumNodes: 4}
 	rng := xrand.New(1)
-	// UGAL is excluded: its Valiant legs panic on unreachable pairs by
-	// design (the simulators only feed it connected topologies).
-	for _, m := range []Mechanism{SP(), Random(), RoundRobin(), KSPUGAL(), KSPAdaptive()} {
+	for _, m := range append(Mechanisms(), SP()) {
 		p, idx := m.NewState().Choose(v, 0, 2, zeroLoad(), rng)
 		if p != nil || idx != -1 {
 			t.Errorf("%s: choice on empty candidate set = %v, %d", m.Name(), p, idx)
+		}
+	}
+}
+
+// TestUGALKeepsMinimalWhenALegHasNoCandidates pins that a Valiant leg
+// with no candidate (a pair cut off on a disconnected graph) leaves UGAL
+// on the minimal path, however loaded, instead of failing the choice.
+func TestUGALKeepsMinimalWhenALegHasNoCandidates(t *testing.T) {
+	// Only the pair itself has paths: every leg through an intermediate
+	// is empty.
+	v := &View{Provider: mapProvider{{0, 2}: {graph.Path{0, 1, 2}}}, NumNodes: 4, MaxHops: 8}
+	load := funcEstimator(func(p graph.Path) int { return 100 - len(p) })
+	st := VanillaUGAL().NewState()
+	rng := xrand.New(3)
+	for trial := 0; trial < 20; trial++ {
+		p, idx := st.Choose(v, 0, 2, load, rng)
+		if idx != 0 || !p.Equal(graph.Path{0, 1, 2}) {
+			t.Fatalf("UGAL chose %v (idx %d) with no detour legs, want the minimal path", p, idx)
+		}
+	}
+}
+
+// TestUnfiredScheduleChoosesAsNoFaults pins that attaching a fault state
+// whose only event lies in the future changes nothing: every mechanism
+// makes the same (path, index) choices, and leaves its RNG at the same
+// point, as on a View with no fault state.
+func TestUnfiredScheduleChoosesAsNoFaults(t *testing.T) {
+	topo, err := jellyfish.New(jellyfish.Params{N: 16, X: 8, Y: 4}, xrand.New(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := topo.G
+	db := paths.BuildAllPairs(g, ksp.Config{Alg: ksp.REDKSP, K: 8}, 1, 0)
+	victim := db.Paths(0, 5)[0]
+	sched := faults.MustSchedule([]faults.Event{{At: 1000, U: victim[0], V: victim[1]}})
+	hot := funcEstimator(func(p graph.Path) int { return int(p[1])*7 + p.Hops() })
+	for _, m := range append(Mechanisms(), SP()) {
+		fst, err := faults.NewState(g, sched, faults.Policy{}, faults.RepairConfigOf(db), 12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fst.Advance(999)
+		bare := &View{Provider: db, NumNodes: g.NumNodes(), MaxHops: 12}
+		armed := &View{Provider: db, Faults: fst, NumNodes: g.NumNodes(), MaxHops: 12}
+		stA, stB := m.NewState(), m.NewState()
+		rngA, rngB := xrand.New(5), xrand.New(5)
+		traffic := xrand.New(11)
+		for i := 0; i < 300; i++ {
+			src := graph.NodeID(traffic.IntN(g.NumNodes()))
+			dst := graph.NodeID(traffic.IntN(g.NumNodes()))
+			pA, iA := stA.Choose(bare, src, dst, hot, rngA)
+			pB, iB := stB.Choose(armed, src, dst, hot, rngB)
+			if iA != iB || !pA.Equal(pB) {
+				t.Fatalf("%s draw %d (%d->%d): no faults chose %v (idx %d), unfired schedule chose %v (idx %d)",
+					m.Name(), i, src, dst, pA, iA, pB, iB)
+			}
+		}
+		if a, b := rngA.Uint64(), rngB.Uint64(); a != b {
+			t.Fatalf("%s: an unfired schedule changed the RNG stream", m.Name())
 		}
 	}
 }
@@ -221,10 +285,10 @@ func TestUGALDivertsOnlyUnderLoad(t *testing.T) {
 
 // TestUGALTwoSwitches pins that UGAL answers on a topology of two
 // switches, where no switch can be the Valiant intermediate: it must take
-// the minimal candidate without drawing, in the healthy branch and in the
-// degraded one (faults active on a link the pair does not use). Each
-// choice gets a deadline, since an intermediate draw that cannot succeed
-// never returns.
+// the minimal candidate without drawing, with no fault state and with
+// faults active on a link the pair does not use. Each choice gets a
+// deadline, since an intermediate draw that cannot succeed never
+// returns.
 func TestUGALTwoSwitches(t *testing.T) {
 	prov := mapProvider{
 		{0, 1}: {graph.Path{0, 1}},
@@ -248,7 +312,7 @@ func TestUGALTwoSwitches(t *testing.T) {
 		{"healthy", &View{Provider: prov, NumNodes: 2, MaxHops: 8}},
 		{"degraded", &View{Provider: prov, Faults: fst, NumNodes: 2, MaxHops: 8}},
 	} {
-		if c.name == "degraded" && !c.view.Degraded() {
+		if c.name == "degraded" && !c.view.Faults.Active() {
 			t.Fatal("fault state is not active")
 		}
 		rng := xrand.New(5)

@@ -1277,8 +1277,8 @@ func (s *Server) LoadTopology(p TopoParams) (TopoResult, error) {
 	if p.Selector == "" {
 		p.Selector = "rEDKSP"
 	}
-	if p.K < 0 {
-		return TopoResult{}, &paramError{fmt.Errorf("k must be non-negative (0 selects 8), got %d", p.K)}
+	if p.K < 0 || p.K > routing.MaxK {
+		return TopoResult{}, &paramError{fmt.Errorf("k must be 0 to %d (0 selects 8), got %d", routing.MaxK, p.K)}
 	}
 	if p.K == 0 {
 		p.K = 8

@@ -351,6 +351,7 @@ func TestBadTopoParams(t *testing.T) {
 		{Topo: "small", Estimator: "nope"},
 		{Topo: "small", PairSample: -1},
 		{Topo: "small", K: -1},
+		{Topo: "small", K: 65},
 		{Topo: "small", PairSample: 20, Mechanism: "ugal"},
 	} {
 		_, err := c.TopoLoad(bg, p)
