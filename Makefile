@@ -143,6 +143,7 @@ cmd/testdata/jfablate-k.txt jfablate -study k -topo small
 cmd/testdata/jfablate-imbalance.txt jfablate -study imbalance -topo small
 cmd/testdata/jfablate-validate.txt jfablate -study validate -topo small
 cmd/testdata/jfablate-faults.txt jfablate -study faults -topo small
+cmd/testdata/jfablate-ugal-bias.txt jfablate -study ugal-bias -topo small -biases 0
 cmd/testdata/jfflit-latency.txt jfflit -experiment latency -rate-start 0.1 -rate-stop 0.5 -rate-step 0.2
 cmd/testdata/jfflit-saturation.txt jfflit -experiment saturation -pattern-samples 1 -rate-start 0.3 -rate-stop 0.6 -rate-step 0.3
 cmd/testdata/jfapp-linear.txt jfapp -mapping linear -bytes-per-rank 1500000

@@ -37,19 +37,21 @@ func main() {
 	sat := stats.NewTable("Saturation throughput per mechanism", "Mechanism", "Throughput")
 
 	for _, mech := range mechs {
-		satRate, results := flitsim.SaturationThroughput(flitsim.Config{
+		satRate, runs := flitsim.SaturationThroughput(flitsim.Config{
 			Topo:      topo,
 			Paths:     db,
 			Mechanism: mech,
 			Traffic:   traffic.NewFixedSampler(pattern),
 			Seed:      99,
-		}, rates, 0)
+		}, rates)
+		// The search stops at the first saturated rate, so every rate
+		// from there on reads as saturated.
 		row := []string{mech.Name()}
-		for _, r := range results {
-			if r.Saturated {
-				row = append(row, "-")
+		for i := range rates {
+			if i < len(runs) && !runs[i].Saturated {
+				row = append(row, fmt.Sprintf("%.0f", runs[i].AvgLatency))
 			} else {
-				row = append(row, fmt.Sprintf("%.0f", r.AvgLatency))
+				row = append(row, "-")
 			}
 		}
 		table.AddRow(row...)

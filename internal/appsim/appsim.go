@@ -27,11 +27,6 @@ import (
 	"repro/internal/xrand"
 )
 
-// PathProvider supplies candidate paths per ordered switch pair.
-type PathProvider interface {
-	Paths(s, d graph.NodeID) []graph.Path
-}
-
 // The paper's CODES configuration, the same for every replay.
 const (
 	DefaultPacketBytes   = 1500
@@ -44,7 +39,7 @@ type Config struct {
 	// Topo is the network.
 	Topo *jellyfish.Topology
 	// Paths supplies the candidate paths.
-	Paths PathProvider
+	Paths routing.PathProvider
 	// Mechanism selects per-packet path choice (see internal/routing for
 	// the paper's six mechanisms and ByName). nil defaults to
 	// KSP-adaptive, matching the paper's recommendation.
@@ -332,13 +327,7 @@ func run(cfg Config, maxCycles int64) (Result, error) {
 			return
 		}
 		p := &pkts[id]
-		dstSw := cfg.Topo.SwitchOf(int(p.dstTerm))
-		var np graph.Path
-		if cur == dstSw {
-			np = graph.Path{cur}
-		} else {
-			np, _ = choose(cur, dstSw)
-		}
+		np, _ := choose(cur, cfg.Topo.SwitchOf(int(p.dstTerm)))
 		if np == nil || np.Hops() > numVC {
 			dropPkt(id)
 			return

@@ -257,7 +257,7 @@ func (s liveOnlyState) Choose(v *routing.View, src, dst graph.NodeID, load routi
 // every injection-time choice and every reroute.
 func TestFaultMechanismsAvoidDeadPaths(t *testing.T) {
 	topo := jelly(t, 16, 8, 6, 7)
-	sched, err := faults.Random(topo.G, 4, 40, 3)
+	sched, err := faults.Random(topo.G, 4, 40, xrand.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -111,7 +111,8 @@ func AblationUGALBias(params jellyfish.Params, biases []int, rates []float64, sc
 	sat := newMeanGrid(len(biases), len(biased))
 	err = runJobs(jobGrid{len(biases), len(biased)}, sc.Workers, func(_ int, j []int) (float64, error) {
 		bi, mi := j[0], j[1]
-		return saturationSeq(s.flit(0, biased[mi](biases[bi]), sampler, xrand.Mix64(sc.Seed^uint64(bi)<<16^uint64(mi))), rates), nil
+		sat, _ := flitsim.SaturationThroughput(s.flit(0, biased[mi](biases[bi]), sampler, xrand.Mix64(sc.Seed^uint64(bi)<<16^uint64(mi))), rates)
+		return sat, nil
 	}, func(j []int, v float64) { sat.add(j[0], j[1], v) })
 	if err != nil {
 		return nil, err

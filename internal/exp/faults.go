@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/flitsim"
-	"repro/internal/graph"
 	"repro/internal/jellyfish"
 	"repro/internal/ksp"
 	"repro/internal/par"
@@ -78,10 +77,18 @@ func FaultResilience(params jellyfish.Params, failedLinks []int, sc Scale) (*Fau
 	survive := newMeanGrid(len(failedLinks), len(ksp.Algorithms))
 	intact := newMeanGrid(len(failedLinks), len(ksp.Algorithms))
 	for fi, f := range failedLinks {
-		for trial := 0; trial < sc.Trials(); trial++ {
-			failed := failureSet(topo, f, xrand.NewPair(sc.Seed^uint64(fi)<<32, uint64(trial)))
+		for trial := 0; trial < sc.PatternSamples; trial++ {
+			sched, err := faults.Random(topo.G, f, 0, xrand.NewPair(sc.Seed^uint64(fi)<<32, uint64(trial)))
+			if err != nil {
+				return nil, err
+			}
+			st, err := faults.NewState(topo.G, sched, faults.Policy{}, nil, 0)
+			if err != nil {
+				return nil, err
+			}
+			st.Advance(0)
 			for ai := range ksp.Algorithms {
-				alive, meanPaths := survival(dbs[ai], prs, failed, sc.Workers)
+				alive, meanPaths := survival(dbs[ai], prs, st, sc.Workers)
 				survive.add(fi, ai, alive)
 				intact.add(fi, ai, meanPaths)
 			}
@@ -91,46 +98,16 @@ func FaultResilience(params jellyfish.Params, failedLinks []int, sc Scale) (*Fau
 	return res, nil
 }
 
-// Trials aliases PatternSamples for readability in fault studies.
-func (sc Scale) Trials() int { return sc.PatternSamples }
-
-// failureSet picks f distinct undirected edges to fail.
-func failureSet(topo *jellyfish.Topology, f int, rng *xrand.RNG) map[uint64]struct{} {
-	g := topo.G
-	// Enumerate undirected edges once.
-	edges := make([][2]graph.NodeID, 0, g.NumEdges())
-	for u := graph.NodeID(0); int(u) < g.NumNodes(); u++ {
-		for _, v := range g.Neighbors(u) {
-			if u < v {
-				edges = append(edges, [2]graph.NodeID{u, v})
-			}
-		}
-	}
-	failed := make(map[uint64]struct{}, f)
-	for _, idx := range rng.SampleK(len(edges), f) {
-		e := edges[idx]
-		failed[graph.UndirectedEdgeKey(e[0], e[1])] = struct{}{}
-	}
-	return failed
-}
-
 // survival returns (fraction of pairs with >= 1 intact path, mean intact
-// paths per pair) under the failure set.
-func survival(db *paths.DB, prs []paths.Pair, failed map[uint64]struct{}, workers int) (float64, float64) {
+// paths per pair) under the failed links of st, whose events have all
+// been applied.
+func survival(db *paths.DB, prs []paths.Pair, st *faults.State, workers int) (float64, float64) {
 	aliveCnt := make([]int32, len(prs))
 	pathCnt := make([]int32, len(prs))
 	par.For(len(prs), workers, func(i int) {
-		ps := db.Paths(prs[i].Src, prs[i].Dst)
 		intact := int32(0)
-		for _, p := range ps {
-			ok := true
-			for h := 0; h+1 < len(p); h++ {
-				if _, dead := failed[graph.UndirectedEdgeKey(p[h], p[h+1])]; dead {
-					ok = false
-					break
-				}
-			}
-			if ok {
+		for _, p := range db.Paths(prs[i].Src, prs[i].Dst) {
+			if st.PathAlive(p) {
 				intact++
 			}
 		}
@@ -229,7 +206,7 @@ func FaultRun(cfg FaultRunConfig, sc Scale) (*FaultRunResult, error) {
 					return nil, fmt.Errorf("exp: cannot fail %d of %d links", f, topo.G.NumEdges())
 				}
 				sched, err := faults.Random(topo.G, f, flitsim.WarmupCycles+flitsim.SampleCycles,
-					xrand.Mix64(sc.Seed^uint64(ti)<<40^uint64(pi)<<20^uint64(fi)))
+					xrand.New(xrand.Mix64(sc.Seed^uint64(ti)<<40^uint64(pi)<<20^uint64(fi))))
 				if err != nil {
 					return nil, err
 				}

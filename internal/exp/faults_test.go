@@ -6,36 +6,39 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/xrand"
 )
 
 // TestFailureSetGolden pins the exact failure set drawn for a fixed seed:
 // the schedule-replay and comparability guarantees of the fault studies
-// rest on this never drifting across refactors.
+// rest on this never drifting across refactors. FaultResilience draws
+// each trial's set through faults.Random with the same kind of stream.
 func TestFailureSetGolden(t *testing.T) {
 	topo, err := tinyScale().buildTopo(tiny, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	failed := failureSet(topo, 5, xrand.NewPair(7, 0))
-	got := make([]string, 0, len(failed))
-	for k := range failed {
-		got = append(got, fmt.Sprintf("%d-%d", k>>32, k&0xffffffff))
+	draw := func() []string {
+		sched, err := faults.Random(topo.G, 5, 0, xrand.NewPair(7, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, e := range sched.Events() {
+			got = append(got, fmt.Sprintf("%d-%d", e.U, e.V))
+		}
+		sort.Strings(got)
+		return got
 	}
-	sort.Strings(got)
+	got := draw()
 	want := []string{"0-11", "0-7", "1-9", "6-11", "7-10"}
 	if strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Fatalf("failure set drifted:\n got %v\nwant %v", got, want)
 	}
 	// Determinism: the same seed redraws the same set.
-	again := failureSet(topo, 5, xrand.NewPair(7, 0))
-	if len(again) != len(failed) {
-		t.Fatal("redraw differs")
-	}
-	for k := range failed {
-		if _, ok := again[k]; !ok {
-			t.Fatal("redraw differs")
-		}
+	if again := draw(); strings.Join(again, ",") != strings.Join(got, ",") {
+		t.Fatalf("redraw differs: %v vs %v", again, got)
 	}
 }
 

@@ -101,7 +101,8 @@ func FlitSaturation(cfg FlitConfig, sc Scale) (*SaturationResult, error) {
 			if err != nil {
 				return 0, err
 			}
-			return saturationSeq(s.flit(j[2], mechs[j[3]], sampler, xrand.Mix64(sc.Seed^uint64(i)<<16)), cfg.Rates), nil
+			sat, _ := flitsim.SaturationThroughput(s.flit(j[2], mechs[j[3]], sampler, xrand.Mix64(sc.Seed^uint64(i)<<16)), cfg.Rates)
+			return sat, nil
 		}, func(j []int, sat float64) { mean.add(j[2], j[3], sat) })
 	if err != nil {
 		return nil, err
@@ -117,24 +118,6 @@ func mechNames(mechs []routing.Mechanism) []string {
 		names[i] = m.Name()
 	}
 	return names
-}
-
-// saturationSeq scans rates in ascending order and stops at the first
-// saturated run, returning the last unsaturated rate (0 if even the first
-// rate saturates). Sequential early-stop: the harness parallelizes across
-// experiment combinations instead.
-func saturationSeq(base flitsim.Config, rates []float64) float64 {
-	sat := 0.0
-	for ri, rate := range rates {
-		c := base
-		c.InjectionRate = rate
-		c.Seed = xrand.Mix64(base.Seed ^ uint64(ri+1)*0x9e3779b97f4a7c15)
-		if flitsim.New(c).Run().Saturated {
-			break
-		}
-		sat = rate
-	}
-	return sat
 }
 
 // Table renders the figure data: selectors as rows, mechanisms as columns.

@@ -1,11 +1,12 @@
-// Package faults injects dynamic link failures into the simulators. Where
-// exp.FaultResilience answers the *static* question — how many precomputed
-// paths survive a set of dead links — this package supplies the *dynamic*
-// machinery: a deterministic, seeded Schedule of timed link-down/link-up
-// events that both simulators (flitsim, appsim) apply while a run is in
-// flight, and a State that tracks which links are currently dead so every
-// routing mechanism can degrade gracefully instead of panicking or
-// stranding packets.
+// Package faults is the one model of link failures: a deterministic,
+// seeded Schedule of timed link-down/link-up events that both simulators
+// (flitsim, appsim) apply while a run is in flight, and a State that
+// tracks which links are currently dead so every routing mechanism can
+// degrade gracefully instead of panicking or stranding packets. The
+// static study, exp.FaultResilience — how many precomputed paths survive
+// a set of dead links — draws its failure sets with Random and counts
+// intact paths with State.PathAlive, so both fault studies judge a link
+// and a path the same way.
 //
 // The pieces:
 //
@@ -116,25 +117,21 @@ func (s *Schedule) Empty() bool { return s.Len() == 0 }
 // from.
 func undirectedEdges(g *graph.Graph) [][2]graph.NodeID {
 	edges := make([][2]graph.NodeID, 0, g.NumEdges())
-	for u := graph.NodeID(0); int(u) < g.NumNodes(); u++ {
-		for _, v := range g.Neighbors(u) {
-			if u < v {
-				edges = append(edges, [2]graph.NodeID{u, v})
-			}
-		}
+	for u, v := range g.Edges() {
+		edges = append(edges, [2]graph.NodeID{u, v})
 	}
 	return edges
 }
 
 // Random builds a schedule failing n distinct uniformly random links of g
-// at cycle at, deterministically from seed. It returns an error if n
-// exceeds the edge count.
-func Random(g *graph.Graph, n int, at int64, seed uint64) (*Schedule, error) {
+// at cycle at, drawn from rng (one SampleK over the links in
+// undirectedEdges' order). It returns an error if n exceeds the edge
+// count.
+func Random(g *graph.Graph, n int, at int64, rng *xrand.RNG) (*Schedule, error) {
 	edges := undirectedEdges(g)
 	if n < 0 || n > len(edges) {
 		return nil, fmt.Errorf("faults: cannot fail %d of %d links", n, len(edges))
 	}
-	rng := xrand.New(seed)
 	events := make([]Event, 0, n)
 	for _, idx := range rng.SampleK(len(edges), n) {
 		e := edges[idx]

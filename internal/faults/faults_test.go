@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -63,15 +64,15 @@ func TestFaultScheduleValidation(t *testing.T) {
 
 func TestFaultRandomDeterministic(t *testing.T) {
 	g := ring(16)
-	a, err := Random(g, 4, 1000, 42)
+	a, err := Random(g, 4, 1000, xrand.New(42))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _ := Random(g, 4, 1000, 42)
+	b, _ := Random(g, 4, 1000, xrand.New(42))
 	if a.Format() != b.Format() {
 		t.Fatalf("same seed, different schedules:\n%s\nvs\n%s", a.Format(), b.Format())
 	}
-	c, _ := Random(g, 4, 1000, 43)
+	c, _ := Random(g, 4, 1000, xrand.New(43))
 	if a.Format() == c.Format() {
 		t.Fatal("different seeds produced identical schedules")
 	}
@@ -89,14 +90,14 @@ func TestFaultRandomDeterministic(t *testing.T) {
 		}
 		seen[key] = struct{}{}
 	}
-	if _, err := Random(g, 17, 0, 1); err == nil {
+	if _, err := Random(g, 17, 0, xrand.New(1)); err == nil {
 		t.Fatal("failing more links than exist succeeded")
 	}
 }
 
 func TestFaultRoundTrip(t *testing.T) {
 	g := ring(8)
-	s, err := Random(g, 3, 250, 7)
+	s, err := Random(g, 3, 250, xrand.New(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,6 +211,59 @@ func TestFaultStateAdvance(t *testing.T) {
 	}
 }
 
+// TestFaultRepeatedEvents pins what Advance promises for repeated
+// events: a down event on an edge already down (named in either
+// direction) and an up event on an edge already up are counted but change
+// nothing, so at every step the state reads as under the schedule with
+// one down and one up.
+func TestFaultRepeatedEvents(t *testing.T) {
+	g := ring(6)
+	repair := &RepairConfig{KSP: ksp.Config{Alg: ksp.KSP, K: 2}, Seed: 5}
+	newState := func(events []Event) *State {
+		st, err := NewState(g, MustSchedule(events), Policy{}, repair, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	repeated := newState([]Event{
+		{At: 10, U: 0, V: 1},
+		{At: 20, U: 1, V: 0},
+		{At: 30, Up: true, U: 0, V: 1},
+		{At: 40, Up: true, U: 1, V: 0},
+	})
+	once := newState([]Event{{At: 10, U: 0, V: 1}, {At: 30, Up: true, U: 0, V: 1}})
+	samePaths := func(a, b []graph.Path) bool {
+		return slices.EqualFunc(a, b, func(p, q graph.Path) bool { return slices.Equal(p, q) })
+	}
+	ps := []graph.Path{{0, 1}}
+	for _, clock := range []int64{10, 20, 30, 40} {
+		repeated.Advance(clock)
+		once.Advance(clock)
+		if repeated.Active() != once.Active() {
+			t.Fatalf("cycle %d: Active = %v, want %v", clock, repeated.Active(), once.Active())
+		}
+		for _, l := range []int32{g.LinkID(0, 1), g.LinkID(1, 0)} {
+			if repeated.LinkDown(l) != once.LinkDown(l) {
+				t.Fatalf("cycle %d: LinkDown(%d) = %v, want %v", clock, l, repeated.LinkDown(l), once.LinkDown(l))
+			}
+		}
+		got, gotMask := repeated.Candidates(0, 1, ps)
+		want, wantMask := once.Candidates(0, 1, ps)
+		if gotMask != wantMask || !samePaths(got, want) {
+			t.Fatalf("cycle %d: Candidates = %v %b, want %v %b", clock, got, gotMask, want, wantMask)
+		}
+	}
+	if downs, ups, _ := repeated.Counters(); downs != 2 || ups != 2 {
+		t.Fatalf("counters = %d downs, %d ups, want 2 and 2", downs, ups)
+	}
+	// A repair computed after the events runs on the intact ring again.
+	got, want := repeated.repairSet(0, 1), once.repairSet(0, 1)
+	if len(got) != 2 || !slices.Equal(got[0], graph.Path{0, 1}) || !samePaths(got, want) {
+		t.Fatalf("repair after the events = %v, want %v", got, want)
+	}
+}
+
 func TestFaultLiveMaskAndCandidates(t *testing.T) {
 	g := ring(6)
 	// Two candidate 0→3 paths: clockwise 0-1-2-3 and counterclockwise
@@ -257,7 +311,7 @@ func TestFaultRepair(t *testing.T) {
 	g := topo.G
 	cfg := ksp.Config{Alg: ksp.REDKSP, K: 4}
 	comp := ksp.NewComputer(g, cfg, xrand.New(77))
-	comp.Reseed(77, pairKey(0, 5))
+	comp.Reseed(77, graph.PairKey(0, 5))
 	ps := comp.Paths(0, 5)
 	if len(ps) == 0 {
 		t.Fatal("no baseline paths")

@@ -131,7 +131,7 @@ func ParseSpec(spec string, g *graph.Graph, seed uint64) (*Schedule, error) {
 			if err != nil {
 				return nil, fmt.Errorf("faults: bad cycle in %q: %v", group, err)
 			}
-			sub, err := Random(g, n, at, xrand.Mix64(seed^uint64(gi)<<32^0xfa0175))
+			sub, err := Random(g, n, at, xrand.New(xrand.Mix64(seed^uint64(gi)<<32^0xfa0175)))
 			if err != nil {
 				return nil, err
 			}

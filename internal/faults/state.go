@@ -49,8 +49,11 @@ func RepairConfigOf(p any) *RepairConfig {
 // event, O(1) otherwise. A mask has 64 bits, so a candidate set holds at
 // most 64 paths (the experiments and jfserve refuse k > 64).
 //
-// State is not safe for concurrent use; give each simulator instance its
-// own (schedules are immutable and may be shared).
+// State is not safe for concurrent use while events are applied or
+// candidates computed; give each simulator instance its own (schedules
+// are immutable and may be shared). Once Advance has returned, PathAlive
+// and LinkDown only read, so any number of goroutines may call them until
+// the next Advance: exp.FaultResilience does so from par.For workers.
 type State struct {
 	g      *graph.Graph
 	events []Event
@@ -59,10 +62,9 @@ type State struct {
 	repair *RepairConfig
 	maxLen int
 
-	epoch    uint64
-	numDown  int
-	downDir  []bool // per directed link id
-	downEdge map[uint64]struct{}
+	epoch   uint64
+	numDown int
+	downDir []bool // per directed link id; both directions of an edge move together
 
 	live     map[uint64]liveEntry
 	repaired map[uint64]repairEntry
@@ -101,7 +103,6 @@ func NewState(g *graph.Graph, sched *Schedule, policy Policy, repair *RepairConf
 		repair:   repair,
 		maxLen:   maxLen,
 		downDir:  make([]bool, g.NumDirectedLinks()),
-		downEdge: make(map[uint64]struct{}),
 		live:     make(map[uint64]liveEntry),
 		repaired: make(map[uint64]repairEntry),
 	}
@@ -148,25 +149,21 @@ func (st *State) Advance(clock int64) []Event {
 }
 
 func (st *State) apply(e Event) {
-	key := graph.UndirectedEdgeKey(e.U, e.V)
-	_, isDown := st.downEdge[key]
-	if e.Up {
-		st.ups++
-		if !isDown {
-			return
-		}
-		delete(st.downEdge, key)
-		st.numDown--
-	} else {
-		st.downs++
-		if isDown {
-			return
-		}
-		st.downEdge[key] = struct{}{}
-		st.numDown++
-	}
 	down := !e.Up
+	if down {
+		st.downs++
+	} else {
+		st.ups++
+	}
 	id := st.g.LinkID(e.U, e.V)
+	if st.downDir[id] == down {
+		return // the edge is already in that state
+	}
+	if down {
+		st.numDown++
+	} else {
+		st.numDown--
+	}
 	st.downDir[id] = down
 	st.downDir[st.g.ReverseLink(id)] = down
 }
@@ -190,8 +187,9 @@ func (st *State) Counters() (downs, ups, repairs int64) {
 }
 
 // PathAlive reports whether p crosses no failed link. Besides the
-// liveness masks, the simulators' fault tests call it as the oracle that
-// no packet is routed over a dead link.
+// liveness masks, exp.FaultResilience counts a pair's intact paths with
+// it, and the simulators' fault tests call it as the oracle that no
+// packet is routed over a dead link.
 func (st *State) PathAlive(p graph.Path) bool {
 	if st.numDown == 0 {
 		return true
@@ -204,15 +202,11 @@ func (st *State) PathAlive(p graph.Path) bool {
 	return true
 }
 
-func pairKey(s, d graph.NodeID) uint64 {
-	return uint64(uint32(s))<<32 | uint64(uint32(d))
-}
-
 // liveMask returns the liveness bitmap for the pair's candidate list: bit
 // i set when ps[i] crosses no failed link. Results are cached per pair
 // and invalidated when a fault event changes the epoch.
 func (st *State) liveMask(src, dst graph.NodeID, ps []graph.Path) uint64 {
-	key := pairKey(src, dst)
+	key := graph.PairKey(src, dst)
 	if e, ok := st.live[key]; ok && e.epoch == st.epoch {
 		return e.mask
 	}
@@ -254,7 +248,7 @@ func (st *State) repairSet(src, dst graph.NodeID) []graph.Path {
 	if st.repair == nil {
 		return nil
 	}
-	key := pairKey(src, dst)
+	key := graph.PairKey(src, dst)
 	if e, ok := st.repaired[key]; ok && e.epoch == st.epoch {
 		return e.ps
 	}
@@ -262,7 +256,7 @@ func (st *State) repairSet(src, dst graph.NodeID) []graph.Path {
 	// Per-pair reseeding mirrors paths.DB.computeWith, so a repaired set
 	// depends only on (seed, pair, failed edges) — never on discovery
 	// order.
-	st.comp.Reseed(st.repair.Seed, pairKey(src, dst))
+	st.comp.Reseed(st.repair.Seed, graph.PairKey(src, dst))
 	ps := st.comp.Paths(src, dst)
 	if st.maxLen > 0 {
 		kept := ps[:0]
@@ -291,8 +285,10 @@ func (st *State) ensureFiltered() {
 		return
 	}
 	b := st.g.Clone()
-	for key := range st.downEdge {
-		b.RemoveEdge(graph.NodeID(key>>32), graph.NodeID(uint32(key)))
+	for l, down := range st.downDir {
+		if u, v := st.g.LinkEndpoints(int32(l)); down && u < v {
+			b.RemoveEdge(u, v)
+		}
 	}
 	st.filtered = b.Graph()
 	st.filteredEpoch = st.epoch

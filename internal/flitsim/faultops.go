@@ -93,13 +93,7 @@ func (s *Sim) handleFaultPacket(id int32, cur graph.NodeID) {
 		return
 	}
 	p := &s.pkts[id]
-	dst := s.topo.SwitchOf(int(p.dstTerm))
-	var np graph.Path
-	if cur == dst {
-		np = graph.Path{cur}
-	} else {
-		np, _ = s.choosePath(cur, dst)
-	}
+	np, _ := s.choosePath(cur, s.topo.SwitchOf(int(p.dstTerm)))
 	if np == nil || np.Hops() > s.numVC {
 		s.dropPkt(id)
 		return

@@ -56,18 +56,12 @@ const (
 	NumSamples   = 10
 )
 
-// PathProvider supplies the k candidate paths per ordered switch pair
-// (typically *paths.DB).
-type PathProvider interface {
-	Paths(s, d graph.NodeID) []graph.Path
-}
-
 // Config parameterizes one simulation run.
 type Config struct {
 	// Topo is the network.
 	Topo *jellyfish.Topology
 	// Paths supplies the per-pair candidate paths.
-	Paths PathProvider
+	Paths routing.PathProvider
 	// Mechanism selects how a path is chosen per packet (see
 	// internal/routing for the paper's six mechanisms and ByName).
 	Mechanism routing.Mechanism

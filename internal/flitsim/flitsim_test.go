@@ -3,6 +3,7 @@ package flitsim
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -49,6 +50,15 @@ func jelly(t testing.TB, n, x, y int, seed uint64) *jellyfish.Topology {
 
 func db(topo *jellyfish.Topology, alg ksp.Algorithm, k int) *paths.DB {
 	return paths.BuildAllPairs(topo.G, ksp.Config{Alg: alg, K: k}, 1, 0)
+}
+
+// Step advances the clock by exactly n cycles without recording
+// statistics, for tests that inspect a run part-way. The conservation
+// counters reflect everything that happened in those n cycles (pinned by
+// TestStepContract).
+func (s *Sim) Step(n int) {
+	var a, b int64
+	s.advanceTo(s.clock+int64(n), false, &a, &b)
 }
 
 // smallCfg is the golden harness's jelly(12,8,4,3) with an rEDKSP k=4
@@ -283,30 +293,57 @@ func TestPermutationTraffic(t *testing.T) {
 	}
 }
 
+// TestSweepAndSaturation pins the contract between the two rate
+// searches: SaturationThroughput's runs are Sweep's runs, field by field,
+// up to and including the first saturated rate, where it stops, and the
+// rate it returns is the last one before that. A run's seed depends only
+// on its rate index, so Sweep over a prefix of the rates makes the same
+// runs as over all of them.
 func TestSweepAndSaturation(t *testing.T) {
 	topo := jelly(t, 12, 8, 4, 3)
-	cfg := Config{
-		Topo:      topo,
-		Paths:     db(topo, ksp.REDKSP, 4),
-		Mechanism: routing.KSPAdaptive(),
-		Traffic:   traffic.Uniform{N: topo.NumTerminals()},
-		Seed:      17,
-	}
+	pdb := db(topo, ksp.REDKSP, 4)
 	rates := Rates(0.1, 1.0, 0.1)
 	if len(rates) != 10 {
 		t.Fatalf("rates = %v", rates)
 	}
-	sat, results := SaturationThroughput(cfg, rates, 4)
-	if len(results) != len(rates) {
-		t.Fatalf("results = %d", len(results))
-	}
-	if sat < 0.1 {
-		t.Fatalf("saturation throughput = %v, expected at least the lowest rate", sat)
-	}
-	// Latency should be nondecreasing-ish: final unsaturated latency above
-	// the first rate's latency.
-	if results[0].Saturated {
-		t.Fatal("10% load saturated")
+	for _, mech := range append(routing.Mechanisms(), routing.SP()) {
+		name := mech.Name()
+		cfg := Config{
+			Topo:      topo,
+			Paths:     pdb,
+			Mechanism: mech,
+			Traffic:   traffic.Uniform{N: topo.NumTerminals()},
+			Seed:      17,
+		}
+		sat, runs := SaturationThroughput(cfg, rates)
+		n := len(runs)
+		if n == 0 || n > len(rates) {
+			t.Fatalf("%s: %d runs over %d rates", name, n, len(rates))
+		}
+		sweep := Sweep(cfg, rates[:n], 2)
+		for i, r := range runs {
+			if !reflect.DeepEqual(r, sweep[i]) {
+				t.Fatalf("%s: run at rate %.1f differs from Sweep's:\n got %+v\nwant %+v", name, rates[i], r, sweep[i])
+			}
+			if r.Saturated && i < n-1 {
+				t.Fatalf("%s: the scan ran on past the saturated rate %.1f", name, rates[i])
+			}
+		}
+		if !runs[n-1].Saturated {
+			t.Fatalf("%s: no saturated rate up to %.1f; the test needs one", name, rates[n-1])
+		}
+		if n == 1 {
+			t.Fatalf("%s: 10%% load saturated", name)
+		}
+		if want := rates[n-2]; sat != want {
+			t.Fatalf("%s: saturation throughput %v, want %v", name, sat, want)
+		}
+		// On the rates below the first saturated one the scan runs them
+		// all and returns the highest.
+		below := rates[:n-1]
+		if sat, again := SaturationThroughput(cfg, below); sat != below[len(below)-1] || !reflect.DeepEqual(again, runs[:n-1]) {
+			t.Fatalf("%s: over the %d unsaturated rates: throughput %v from %d runs", name, len(below), sat, len(again))
+		}
 	}
 }
 

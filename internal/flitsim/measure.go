@@ -107,15 +107,6 @@ func (s *Sim) advanceTo(until int64, measuring bool, sampleLatSum, sampleCount *
 	}
 }
 
-// Step advances the clock by exactly n cycles without recording
-// statistics; exported for tests and interactive exploration. The
-// conservation counters reflect everything that happened in those n
-// cycles (pinned by TestStepContract).
-func (s *Sim) Step(n int) {
-	var a, b int64
-	s.advanceTo(s.clock+int64(n), false, &a, &b)
-}
-
 // Clock returns the current simulation cycle.
 func (s *Sim) Clock() int64 { return s.clock }
 
@@ -148,18 +139,20 @@ func (s *Sim) QueuedPackets() int64 {
 	return total
 }
 
+// runRate runs cfg at rates[i]. The run's seed is derived from cfg.Seed
+// and the rate index, so each rate is reproducible and independent of the
+// others, and Sweep and SaturationThroughput make the same run for it.
+func runRate(cfg Config, rates []float64, i int) Result {
+	cfg.InjectionRate = rates[i]
+	cfg.Seed = xrand.Mix64(cfg.Seed ^ (uint64(i)+1)*0x9e3779b97f4a7c15)
+	return New(cfg).Run()
+}
+
 // Sweep runs one simulation per injection rate in parallel (workers <= 0
-// selects the default pool) and returns the per-rate results. Each rate
-// gets a seed derived from cfg.Seed and the rate index so results are
-// reproducible and independent.
+// selects the default pool) and returns the per-rate results.
 func Sweep(cfg Config, rates []float64, workers int) []Result {
 	out := make([]Result, len(rates))
-	par.For(len(rates), workers, func(i int) {
-		c := cfg
-		c.InjectionRate = rates[i]
-		c.Seed = xrand.Mix64(cfg.Seed ^ (uint64(i)+1)*0x9e3779b97f4a7c15)
-		out[i] = New(c).Run()
-	})
+	par.For(len(rates), workers, func(i int) { out[i] = runRate(cfg, rates, i) })
 	return out
 }
 
@@ -220,19 +213,23 @@ func rates(start, stop, step float64) ([]float64, error) {
 	}
 }
 
-// SaturationThroughput sweeps the rates in ascending order and returns the
-// paper's throughput metric: the last injection rate before the network
-// saturates. If even the first rate saturates it returns 0; if none
-// saturate it returns the highest rate. The per-rate results are returned
-// for inspection.
-func SaturationThroughput(cfg Config, rates []float64, workers int) (float64, []Result) {
-	results := Sweep(cfg, rates, workers)
+// SaturationThroughput is the search behind the paper's throughput
+// metric: it runs the rates in ascending order, each as Sweep runs it, and
+// stops at the first saturated run. It returns the last rate before that
+// run (0 if even the first rate saturates, the highest rate if none does)
+// and the runs it made, one per rate up to and including the first
+// saturated one. The scan is sequential; callers run many searches in
+// parallel instead (exp's job grid).
+func SaturationThroughput(cfg Config, rates []float64) (float64, []Result) {
 	sat := 0.0
-	for i, r := range results {
+	var runs []Result
+	for i := range rates {
+		r := runRate(cfg, rates, i)
+		runs = append(runs, r)
 		if r.Saturated {
 			break
 		}
 		sat = rates[i]
 	}
-	return sat, results
+	return sat, runs
 }

@@ -238,8 +238,7 @@ func (g *Graph) fillRank() {
 // rankSlot is the first slot LinkID probes for (u, v): a Fibonacci hash
 // of the pair, keeping the product's top bits.
 func (g *Graph) rankSlot(u, v NodeID) uint64 {
-	k := uint64(uint32(u))<<32 | uint64(uint32(v))
-	return (k * 0x9E3779B97F4A7C15) >> g.rankShift
+	return (PairKey(u, v) * 0x9E3779B97F4A7C15) >> g.rankShift
 }
 
 // fillReverse populates rev: the reverse of link l = u→v is LinkID(v, u).
@@ -300,10 +299,6 @@ func (g *Graph) LinkRange(u NodeID) (lo, hi int32) {
 // LinkTarget returns the destination node of a directed link: v for
 // l = LinkID(u, v).
 func (g *Graph) LinkTarget(l int32) NodeID { return g.nbr[l] }
-
-// LinkSource returns the source node of a directed link: u for
-// l = LinkID(u, v), via the packed owner table in O(1).
-func (g *Graph) LinkSource(l int32) NodeID { return g.owner[l] }
 
 // Degree returns the degree of u.
 func (g *Graph) Degree(u NodeID) int { return int(g.start[u+1] - g.start[u]) }

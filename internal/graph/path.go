@@ -39,7 +39,9 @@ func (p Path) Equal(q Path) bool {
 	return true
 }
 
-// Loopless reports whether no node repeats on the path.
+// Loopless reports whether no node repeats on the path. No production
+// code calls it: it stays exported as a check that the tests of graph,
+// ksp and paths run on every path a search or selector returns.
 func (p Path) Loopless() bool {
 	seen := make(map[NodeID]struct{}, len(p))
 	for _, u := range p {
@@ -52,7 +54,8 @@ func (p Path) Loopless() bool {
 }
 
 // ValidIn reports whether every consecutive pair of nodes on p is an edge
-// of g and p is nonempty.
+// of g and p is nonempty. Like Loopless it is a test oracle, exported for
+// the tests of graph, ksp, paths and faults.
 func (p Path) ValidIn(g *Graph) bool {
 	if len(p) == 0 {
 		return false
@@ -78,13 +81,17 @@ func (p Path) Links(g *Graph, dst []int32) []int32 {
 	return dst
 }
 
+// PairKey packs the ordered pair (u, v) into a 64-bit key with u in the
+// high word: the key of a directed link u→v and of a switch pair, which
+// path stores, caches, per-pair seeds and routing state all index by.
+func PairKey(u, v NodeID) uint64 {
+	return uint64(uint32(u))<<32 | uint64(uint32(v))
+}
+
 // UndirectedEdgeKey packs the undirected edge {u, v} into a 64-bit key with
 // min(u,v) in the high word, so (u,v) and (v,u) map to the same key.
 func UndirectedEdgeKey(u, v NodeID) uint64 {
-	if u > v {
-		u, v = v, u
-	}
-	return uint64(uint32(u))<<32 | uint64(uint32(v))
+	return PairKey(min(u, v), max(u, v))
 }
 
 // String renders the path as "0->5->12".

@@ -89,6 +89,8 @@ func New(p Params, rng *xrand.RNG) (*Topology, error) {
 }
 
 // MustNew is New for parameters known to be valid; it panics on error.
+// Only tests call it (here and in graph, paths, faults and the root
+// package's benchmarks), which build topologies from fixed parameters.
 func MustNew(p Params, rng *xrand.RNG) *Topology {
 	t, err := New(p, rng)
 	if err != nil {
@@ -189,7 +191,7 @@ func buildRRG(n, y int, rng *xrand.RNG) (*graph.Graph, error) {
 func (t *Topology) TerminalsPerSwitch() int { return t.X - t.Y }
 
 // NumTerminals returns the total number of compute nodes.
-func (t *Topology) NumTerminals() int { return t.N * (t.X - t.Y) }
+func (t *Topology) NumTerminals() int { return t.N * t.TerminalsPerSwitch() }
 
 // SwitchOf returns the switch that terminal term attaches to. Terminals are
 // numbered 0..NumTerminals-1 with terminal i on switch i/(x-y).
@@ -197,13 +199,7 @@ func (t *Topology) SwitchOf(term int) graph.NodeID {
 	if term < 0 || term >= t.NumTerminals() {
 		panic(fmt.Sprintf("jellyfish: terminal %d out of range [0,%d)", term, t.NumTerminals()))
 	}
-	return graph.NodeID(term / (t.X - t.Y))
-}
-
-// FirstTerminalOf returns the lowest terminal id attached to sw; terminals
-// of sw are FirstTerminalOf(sw) .. FirstTerminalOf(sw)+TerminalsPerSwitch-1.
-func (t *Topology) FirstTerminalOf(sw graph.NodeID) int {
-	return int(sw) * (t.X - t.Y)
+	return graph.NodeID(term / t.TerminalsPerSwitch())
 }
 
 // Params returns the construction parameters.

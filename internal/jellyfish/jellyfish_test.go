@@ -137,8 +137,10 @@ func TestTerminals(t *testing.T) {
 	if topo.SwitchOf(287) != 35 {
 		t.Fatalf("last terminal on switch %d", topo.SwitchOf(287))
 	}
-	if topo.FirstTerminalOf(2) != 16 {
-		t.Fatalf("FirstTerminalOf(2) = %d", topo.FirstTerminalOf(2))
+	// Switch 2's terminals are 16..23.
+	first := 2 * topo.TerminalsPerSwitch()
+	if first != 16 || topo.SwitchOf(first-1) != 1 || topo.SwitchOf(first) != 2 || topo.SwitchOf(first+7) != 2 {
+		t.Fatalf("switch 2's terminals do not start at %d", first)
 	}
 }
 

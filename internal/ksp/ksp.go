@@ -172,11 +172,11 @@ func (c *Computer) Paths(src, dst graph.NodeID) []graph.Path {
 	if src == dst {
 		return nil
 	}
-	switch c.cfg.Alg {
-	case KSP, RKSP:
-		return c.yen(src, dst, c.cfg.K)
-	case EDKSP, REDKSP:
+	switch alg := c.cfg.Alg; {
+	case alg.EdgeDisjoint():
 		return c.removeFind(src, dst)
+	case alg == KSP || alg == RKSP:
+		return c.yen(src, dst, c.cfg.K)
 	}
 	panic(fmt.Sprintf("ksp: unknown algorithm %v", c.cfg.Alg))
 }

@@ -26,51 +26,7 @@ func For(n, workers int, body func(i int)) {
 // worker. This is how callers give each worker a private RNG, scratch
 // buffer, or search engine without locking.
 func ForWorker[S any](n, workers int, setup func() S, body func(i int, state S)) {
-	if n <= 0 {
-		return
-	}
-	if workers <= 0 {
-		workers = DefaultWorkers()
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		s := setup()
-		for i := 0; i < n; i++ {
-			body(i, s)
-		}
-		return
-	}
-	// Chunked dynamic scheduling: amortizes the atomic per chunk while
-	// keeping tail imbalance low.
-	chunk := n / (workers * 8)
-	if chunk < 1 {
-		chunk = 1
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			s := setup()
-			for {
-				lo := int(next.Add(int64(chunk))) - chunk
-				if lo >= n {
-					return
-				}
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
-				for i := lo; i < hi; i++ {
-					body(i, s)
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	ForWorkerFinish(n, workers, setup, body, func(S) {})
 }
 
 // ForShards splits [0, n) into one contiguous shard per worker and runs
@@ -124,7 +80,8 @@ func MapReduce[S any](n, workers int, setup func() S, body func(i int, state S),
 }
 
 // ForWorkerFinish is ForWorker plus a finish hook that runs once per worker
-// after that worker's last iteration.
+// after that worker's last iteration. It holds the one scheduler that
+// For, ForWorker and MapReduce run on.
 func ForWorkerFinish[S any](n, workers int, setup func() S, body func(i int, state S), finish func(state S)) {
 	if n <= 0 {
 		return
@@ -143,6 +100,8 @@ func ForWorkerFinish[S any](n, workers int, setup func() S, body func(i int, sta
 		finish(s)
 		return
 	}
+	// Chunked dynamic scheduling: amortizes the atomic per chunk while
+	// keeping tail imbalance low.
 	chunk := n / (workers * 8)
 	if chunk < 1 {
 		chunk = 1

@@ -191,7 +191,7 @@ func CacheKey(g *graph.Graph, cfg ksp.Config, seed uint64, pairs []Pair) uint64 
 		cacheVersion, cfg.Canonical(), seed, g.Fingerprint())
 	keys := make([]uint64, 0, len(pairs))
 	for _, p := range pairs {
-		keys = append(keys, pairKey(p.Src, p.Dst))
+		keys = append(keys, graph.PairKey(p.Src, p.Dst))
 	}
 	slices.Sort(keys)
 	keys = slices.Compact(keys)
@@ -372,7 +372,7 @@ func ReadCache(r io.Reader, g *graph.Graph) (*DB, uint64, error) {
 		if np > uint32(k) {
 			return nil, 0, fmt.Errorf("paths: cache pair %d->%d declares %d paths, k is %d", src, dst, np, k)
 		}
-		pk := pairKey(graph.NodeID(src), graph.NodeID(dst))
+		pk := graph.PairKey(graph.NodeID(src), graph.NodeID(dst))
 		if i > 0 && pk <= prevKey {
 			return nil, 0, fmt.Errorf("paths: cache pairs not in ascending order at %d->%d", src, dst)
 		}

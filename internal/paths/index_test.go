@@ -21,7 +21,7 @@ func checkAgainstOracle(t *testing.T, db *DB, oracle map[uint64][]graph.Path) {
 	n := graph.NodeID(db.Graph().NumNodes())
 	for s := graph.NodeID(-1); s <= n; s++ {
 		for d := graph.NodeID(-1); d <= n; d++ {
-			want, stored := oracle[pairKey(s, d)]
+			want, stored := oracle[graph.PairKey(s, d)]
 			ps, err := db.Lookup(s, d)
 			var wantErr error
 			switch {
@@ -81,7 +81,7 @@ func TestStoreIndexMatchesOracle(t *testing.T) {
 		m := map[uint64][]graph.Path{}
 		for _, p := range pairs {
 			if p.Src != p.Dst {
-				m[pairKey(p.Src, p.Dst)] = ref.Paths(p.Src, p.Dst)
+				m[graph.PairKey(p.Src, p.Dst)] = ref.Paths(p.Src, p.Dst)
 			}
 		}
 		return m

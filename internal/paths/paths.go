@@ -30,10 +30,6 @@ type Pair struct {
 	Src, Dst graph.NodeID
 }
 
-func pairKey(s, d graph.NodeID) uint64 {
-	return uint64(uint32(s))<<32 | uint64(uint32(d))
-}
-
 // DB holds the computed path sets of a fixed set of pairs for one graph,
 // one selector config and one seed, in a CSR-packed store: one flat node
 // arena plus per-pair offsets. A DB never changes after Build or
@@ -59,7 +55,7 @@ func Build(g *graph.Graph, cfg ksp.Config, seed uint64, pairs []Pair, workers in
 	keys := make([]uint64, 0, len(pairs))
 	for _, p := range pairs {
 		if p.Src != p.Dst {
-			keys = append(keys, pairKey(p.Src, p.Dst))
+			keys = append(keys, graph.PairKey(p.Src, p.Dst))
 		}
 	}
 	slices.SortFunc(keys, func(a, b uint64) int {
@@ -89,7 +85,7 @@ func BuildAllPairs(g *graph.Graph, cfg ksp.Config, seed uint64, workers int) *DB
 // This is the seed-splitting scheme of every DB and of Analyze. The base
 // seed is not consumed sequentially — doing so would make each pair's
 // paths depend on how the preceding pairs were scheduled across workers.
-// Instead every pair gets its own PCG stream keyed (seed, pairKey(src,
+// Instead every pair gets its own PCG stream keyed (seed, graph.PairKey(src,
 // dst)): the 64-bit pair key (src in the high word, dst in the low) is
 // the second seed word, and the PCG initializer mixes both words, so
 // streams for different pairs are statistically independent. Builds with
@@ -97,7 +93,7 @@ func BuildAllPairs(g *graph.Graph, cfg ksp.Config, seed uint64, workers int) *DB
 // pair, Analyze, and fault-time repair on a filtered graph all reproduce
 // the identical path set for a pair.
 func computePair(c *ksp.Computer, seed uint64, src, dst graph.NodeID) []graph.Path {
-	c.Reseed(seed, pairKey(src, dst))
+	c.Reseed(seed, graph.PairKey(src, dst))
 	return c.Paths(src, dst)
 }
 

@@ -18,13 +18,13 @@ import (
 //
 // A store is immutable after construction and therefore safe to read from
 // any number of goroutines without locking. Pairs are kept in ascending
-// pairKey order, so iterating the store yields the same order Write
+// graph.PairKey order, so iterating the store yields the same order Write
 // emits, and each source's pairs form one contiguous row of keys. heads
 // and arena follow the same order, the arena holding the paths back to
 // back with nothing between them: WriteCache streams both as they are.
 type store struct {
-	// keys holds the pair keys (pairKey(src, dst)) in strictly ascending
-	// order.
+	// keys holds the pair keys (graph.PairKey(src, dst)) in strictly
+	// ascending order.
 	keys []uint64
 	// srcOff indexes keys by source: source s's pairs are
 	// keys[srcOff[s]:srcOff[s+1]]. len(srcOff) == n+1 for the graph's n
@@ -65,7 +65,7 @@ func (st *store) find(src, dst graph.NodeID) int {
 		return -1
 	}
 	lo, hi := int(st.srcOff[src]), int(st.srcOff[src+1])
-	key := pairKey(src, dst)
+	key := graph.PairKey(src, dst)
 	if hi-lo == n-1 {
 		i := lo + int(dst)
 		if dst > src {

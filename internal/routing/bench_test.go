@@ -31,7 +31,7 @@ func BenchmarkChoose(b *testing.B) {
 	}
 	g := topo.G
 	db := paths.BuildAllPairs(g, ksp.Config{Alg: ksp.REDKSP, K: 8}, 1, 0)
-	sched, err := faults.Random(g, 3, 0, 5)
+	sched, err := faults.Random(g, 3, 0, xrand.New(5))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -105,7 +105,7 @@ type LinkLoadEstimator struct {
 // exceeds 2·linkLoadDecay (a period adds at most linkLoadDecay to a
 // count that decay then halves), so int32 holds it.
 type linkSlot struct {
-	key  uint64 // dirLinkKey(u, v)
+	key  uint64 // graph.PairKey(u, v)
 	n    int32
 	used bool
 }
@@ -117,10 +117,6 @@ const linkLoadDecay = 4096
 // NewLinkLoadEstimator returns an estimator with no load recorded.
 func NewLinkLoadEstimator() *LinkLoadEstimator {
 	return &LinkLoadEstimator{slots: make([]linkSlot, 2), shift: 63}
-}
-
-func dirLinkKey(u, v graph.NodeID) uint64 {
-	return uint64(uint32(u))<<32 | uint64(uint32(v))
 }
 
 // slot returns the index of key's slot, or of the empty slot where key
@@ -144,7 +140,7 @@ func (e *LinkLoadEstimator) PathCost(p graph.Path) int {
 	if h <= 0 {
 		return 0
 	}
-	return int(e.slots[e.slot(dirLinkKey(p[0], p[1]))].n) * h
+	return int(e.slots[e.slot(graph.PairKey(p[0], p[1]))].n) * h
 }
 
 // ObserveLink records one chosen traversal of the directed link u→v and
@@ -154,7 +150,7 @@ func (e *LinkLoadEstimator) PathCost(p graph.Path) int {
 // link's increment on the estimator whose PathCost calls read that
 // link.
 func (e *LinkLoadEstimator) ObserveLink(u, v graph.NodeID) {
-	key := dirLinkKey(u, v)
+	key := graph.PairKey(u, v)
 	i := e.slot(key)
 	if !e.slots[i].used {
 		if 2*(e.used+1) > len(e.slots) {

@@ -101,11 +101,11 @@ func (e *mapLinkLoad) PathCost(p graph.Path) int {
 	if p.Hops() == 0 {
 		return 0
 	}
-	return e.counts[dirLinkKey(p[0], p[1])] * p.Hops()
+	return e.counts[graph.PairKey(p[0], p[1])] * p.Hops()
 }
 
 func (e *mapLinkLoad) ObserveLink(u, v graph.NodeID) {
-	e.counts[dirLinkKey(u, v)]++
+	e.counts[graph.PairKey(u, v)]++
 	e.obs++
 	if e.obs < linkLoadDecay {
 		return

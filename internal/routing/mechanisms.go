@@ -95,7 +95,7 @@ func (r *rrState) Choose(v *View, src, dst graph.NodeID, _ LoadEstimator, _ *xra
 	if mask == 0 {
 		return nil, -1
 	}
-	key := uint64(uint32(src))<<32 | uint64(uint32(dst))
+	key := graph.PairKey(src, dst)
 	c := int(r.counters[key])
 	if c >= len(ps) { // the set shrank (a repair) since the last choice
 		c %= len(ps)

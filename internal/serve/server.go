@@ -1214,7 +1214,7 @@ func estimatePair(ps []graph.Path) EstimateResult {
 		}
 		totHops += p.Hops()
 		for i := 0; i+1 < len(p); i++ {
-			counts[dirKey(p[i], p[i+1])]++
+			counts[graph.PairKey(p[i], p[i+1])]++
 		}
 	}
 	if len(ps) > 0 {
@@ -1224,17 +1224,13 @@ func estimatePair(ps []graph.Path) EstimateResult {
 	for _, p := range ps {
 		maxLoad := k // the shared injection/ejection links
 		for i := 0; i+1 < len(p); i++ {
-			if c := counts[dirKey(p[i], p[i+1])]; c > maxLoad {
+			if c := counts[graph.PairKey(p[i], p[i+1])]; c > maxLoad {
 				maxLoad = c
 			}
 		}
 		res.Throughput += 1 / float64(maxLoad)
 	}
 	return res
-}
-
-func dirKey(u, v graph.NodeID) uint64 {
-	return uint64(uint32(u))<<32 | uint64(uint32(v))
 }
 
 // TopoKey renders the identity of one loaded topology:

@@ -67,9 +67,6 @@ func (h *Histogram) Mean() float64 {
 // Overflow returns the overflow-bucket count.
 func (h *Histogram) Overflow() int64 { return h.counts[len(h.counts)-1].Load() }
 
-// Bucket returns the count of in-range bucket i.
-func (h *Histogram) Bucket(i int) int64 { return h.counts[i].Load() }
-
 // Counts returns a snapshot of the in-range bucket counts (the overflow
 // bucket is reported separately by Overflow).
 func (h *Histogram) Counts() []int64 {

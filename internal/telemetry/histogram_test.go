@@ -68,7 +68,7 @@ func TestHistogramOverflow(t *testing.T) {
 func TestHistogramNegativeClamp(t *testing.T) {
 	h := NewHistogram(1, 4)
 	h.Observe(-7)
-	if h.Bucket(0) != 1 {
+	if h.Counts()[0] != 1 {
 		t.Fatalf("negative observation not clamped to bucket 0")
 	}
 	if h.Sum() != 0 {

@@ -7,7 +7,7 @@
 // experiment is reproducible from its seed. An RNG is a concrete PCG: it
 // holds a math/rand/v2 rand.PCG by value and implements each draw with
 // math/rand/v2's own algorithm (Lemire's multiply-and-reject reduction for
-// IntN and Int64N, the 53-bit Float64, the Fisher–Yates Shuffle and Perm),
+// IntN and Int64N, the 53-bit Float64, the Fisher–Yates shuffle and Perm),
 // so its streams are exactly those of rand.New(rand.NewPCG(hi, lo)), while
 // a draw is a direct call rather than one through the rand.Source
 // interface, and Reseed allocates nothing. The package adds a few helpers
@@ -160,19 +160,8 @@ func (g *RNG) Perm(n int) []int {
 	return p
 }
 
-// Shuffle shuffles n elements using the provided swap function, by
-// Fisher–Yates from the last element down. It panics if n < 0.
-func (g *RNG) Shuffle(n int, swap func(i, j int)) {
-	if n < 0 {
-		panic("xrand: Shuffle needs n >= 0")
-	}
-	for i := n - 1; i > 0; i-- {
-		swap(i, int(g.uint64n(uint64(i+1))))
-	}
-}
-
-// ShuffleSlice shuffles s in place, drawing exactly as Shuffle(len(s), ...)
-// does.
+// ShuffleSlice shuffles s in place by Fisher–Yates from the last element
+// down, drawing exactly as math/rand/v2's Shuffle(len(s), ...) does.
 func ShuffleSlice[T any](g *RNG, s []T) {
 	for i := len(s) - 1; i > 0; i-- {
 		j := int(g.Reduce(g.pcg.Uint64(), uint64(i+1)))

@@ -326,15 +326,6 @@ func TestMatchesMathRand(t *testing.T) {
 			}
 			return got, want
 		}},
-		{"Shuffle", func(g *RNG, r *rand.Rand) (any, any) {
-			a, b := make([]int, 41), make([]int, 41)
-			for i := range a {
-				a[i], b[i] = i, i
-			}
-			g.Shuffle(len(a), func(i, j int) { a[i], a[j] = a[j], a[i] })
-			r.Shuffle(len(b), func(i, j int) { b[i], b[j] = b[j], b[i] })
-			return a, b
-		}},
 		{"ShuffleSlice", func(g *RNG, r *rand.Rand) (any, any) {
 			var got, want [][]string
 			for _, n := range []int{0, 1, 2, 5, 16, 300} {
